@@ -25,10 +25,8 @@ from .energy_chain import (  # noqa: F401
     EnergyChainConfig,
     Regime,
     SteadyState,
-    approx_char_root,
     build_transition_matrix,
     prob_energy_sufficient,
-    solve_char_root,
     solve_steady_numeric,
     steady_closed_large_buffer,
     steady_closed_n1,

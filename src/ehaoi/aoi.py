@@ -49,6 +49,13 @@ def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
+def _require_finite(owner: str, **fields: float | None) -> None:
+    """Reject NaN and infinite config fields; None marks an unset optional."""
+    bad = [name for name, value in fields.items() if value is not None and not math.isfinite(value)]
+    if bad:
+        raise ValueError(f"{owner} fields must be finite: {', '.join(bad)}")
+
+
 @dataclass(frozen=True)
 class PhyConfig:
     """Link-level physical parameters.
@@ -71,9 +78,12 @@ class PhyConfig:
     bits_per_unit: int | None = None
 
     def __post_init__(self):
+        _require_finite("PhyConfig", alpha=self.alpha, r=self.r, theta=self.theta,
+                        eps=self.eps, target_rate=self.target_rate)
         if self.alpha <= 2.0:
             raise ValueError("alpha must exceed 2 for the interference moment to exist")
-        if self.r <= 0.0 or self.tx_snr <= 0.0 or self.theta <= 0.0:
+        # tx_snr = inf is the noise-free link; `not x > 0` also refuses NaN
+        if not (self.r > 0.0 and self.tx_snr > 0.0 and self.theta > 0.0):
             raise ValueError("r, tx_snr and theta must be positive")
         if not 0.0 <= self.eps < 1.0:
             raise ValueError("eps must be in [0, 1)")
@@ -104,6 +114,7 @@ class NetworkConfig:
     eta: float
 
     def __post_init__(self):
+        _require_finite("NetworkConfig", density=self.density)
         if self.density < 0.0:
             raise ValueError("density must be non-negative")
         # reuse the chain validation for the protocol fields

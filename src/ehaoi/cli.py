@@ -1,10 +1,10 @@
 """Experiment runner: JSON specification in, CSV plus config sidecar out.
 
 Each experiment kind drives one pipeline (stationary distributions,
-decoding thresholds, analytic AoI curves, joint optimization, Monte Carlo
-simulation, or a generic analytic sweep).  Reruns of an identical spec
-produce byte-identical CSVs; the sidecar records the fully resolved
-configuration, the library version, and the seed actually used.
+decoding thresholds, analytic AoI curves, joint optimization or Monte
+Carlo simulation).  Reruns of an identical spec produce byte-identical
+CSVs; the sidecar records the fully resolved configuration, the library
+version, and the seed actually used.
 
 Exit codes: 0 ok, 2 bad-config, 3 out-of-regime, 4 non-convergence, 5 io.
 """
@@ -26,7 +26,6 @@ from .aoi import NetworkConfig, PhyConfig, network_aoi_general, network_aoi_gree
 from .energy_chain import build_transition_matrix, solve_steady_numeric, steady_state
 from .errors import (
     BadConfig,
-    DegenerateRatio,
     EhAoiError,
     IterationBudgetExceeded,
     NeverSufficient,
@@ -48,10 +47,10 @@ from .sim import (
     run,
 )
 
-KINDS = ("steady_state", "threshold", "aoi_curve", "optimize", "simulate", "sweep")
+KINDS = ("steady_state", "threshold", "aoi_curve", "optimize", "simulate")
 
-_OUT_OF_REGIME = (OutOfRegime, NotRecurrent, DegenerateRatio, SaturatedAccess,
-                  NeverSufficient, TargetRateTooLow)
+_OUT_OF_REGIME = (OutOfRegime, NotRecurrent, SaturatedAccess, NeverSufficient,
+                  TargetRateTooLow)
 _NON_CONVERGENCE = (NonConvergence, IterationBudgetExceeded)
 
 
@@ -239,14 +238,15 @@ def _retuned_phy(params: dict, phy: PhyConfig, net: NetworkConfig, sweep_name: s
 def _run_steady_state(spec: ExperimentSpec):
     net = _net_from_params(spec.params)
     cfg = net.chain
-    closed = steady_state(cfg)
+    # the closed_form column is the exact cut recursion, numeric the dense oracle
+    exact = steady_state(cfg)
     numeric = solve_steady_numeric(build_transition_matrix(cfg))
     header = ["level", "closed_form", "numeric", "abs_diff"]
     rows = [
-        [i, closed.probs[i], numeric.probs[i], abs(closed.probs[i] - numeric.probs[i])]
+        [i, exact.probs[i], numeric.probs[i], abs(exact.probs[i] - numeric.probs[i])]
         for i in range(cfg.B + 1)
     ]
-    return header, rows, {"regime": closed.regime.value}
+    return header, rows, {"regime": exact.regime.value}
 
 
 def _run_threshold(spec: ExperimentSpec):
@@ -360,7 +360,7 @@ def run_experiment(
         header, rows, extra = _run_steady_state(spec)
     elif spec.kind == "threshold":
         header, rows, extra = _run_threshold(spec)
-    elif spec.kind in ("aoi_curve", "sweep"):
+    elif spec.kind == "aoi_curve":
         header, rows, extra = _run_curve(spec, seed, threads)
     elif spec.kind == "optimize":
         header, rows, extra = _run_optimize(spec, threads)

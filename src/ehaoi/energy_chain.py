@@ -3,11 +3,12 @@
 Each node harvests one energy unit per slot with probability ``xi``, spends
 ``N`` units per transmission attempt (attempted with probability ``eta``
 whenever at least ``N`` units are stored), and stores at most ``B`` units.
-This module builds the slot-to-slot transition matrix, solves the stationary
-distribution numerically (the oracle every closed form is checked against),
-and evaluates the closed-form stationary distributions for the tractable
-buffer regimes together with the characteristic root of the underlying
-difference equation.
+:func:`steady_state` gives the stationary distribution of every
+configuration by one exact route: global balance across each level cut,
+solved downward from the top level.  The paper's closed forms for the
+tractable buffer regimes, the characteristic root of the underlying
+difference equation, and the dense linear solve of the transition matrix
+(the independent oracle) are kept as results the route is checked against.
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegenerateRatio,
-    NonConvergence,
-    NotRecurrent,
-    OutOfRegime,
-)
+from .errors import NonConvergence, NotRecurrent, OutOfRegime
 
 __all__ = [
     "EnergyChainConfig",
@@ -37,8 +33,6 @@ __all__ = [
     "steady_closed_large_buffer",
     "steady_infinite_buffer",
     "steady_state",
-    "solve_char_root",
-    "approx_char_root",
     "char_root",
     "char_root_approx",
     "char_poly",
@@ -52,6 +46,7 @@ _MASS_TOL = 1e-9
 class Regime(Enum):
     """Which construction produced a stationary distribution."""
 
+    CUT_RECURSION = "cut_recursion"
     NUMERIC_ORACLE = "numeric_oracle"
     CLOSED_N1 = "closed_n1"
     CLOSED_SMALL_BUFFER = "closed_small_buffer"
@@ -149,8 +144,9 @@ def solve_steady_numeric(matrix: np.ndarray, tol: float = 1e-12) -> SteadyState:
     """Stationary vector of a row-stochastic matrix, by direct linear solve.
 
     Solves the transposed balance equations with the normalization row and
-    verifies the residual ||S P - S||_inf <= tol; falls back to power
-    iteration before giving up with NonConvergence.
+    verifies the residual ||S P - S||_inf <= tol.  A singular system means
+    the chain has more than one closed class, so the stationary law is not
+    unique; that and a residual above tol raise NonConvergence.
     """
     P = np.asarray(matrix, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -162,35 +158,14 @@ def solve_steady_numeric(matrix: np.ndarray, tol: float = 1e-12) -> SteadyState:
     rhs[-1] = 1.0
     try:
         s = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        s = np.full(m, 1.0 / m)
-    if _residual(s, P) > tol or np.any(s < -tol):
-        s = _power_iterate(s, P, tol)
-    if _residual(s, P) > tol:
-        raise NonConvergence(
-            f"stationary residual {_residual(s, P):.3e} above tol {tol:.3e}"
-        )
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence("singular balance system: the stationary law is not unique") from exc
+    residual = float(np.max(np.abs(s @ P - s)))
+    if residual > tol or np.any(s < -tol):
+        raise NonConvergence(f"stationary residual {residual:.3e} above tol {tol:.3e}")
     s = np.clip(s, 0.0, None)
     s /= s.sum()
     return SteadyState(probs=s, regime=Regime.NUMERIC_ORACLE)
-
-
-def _residual(s: np.ndarray, P: np.ndarray) -> float:
-    return float(np.max(np.abs(s @ P - s)))
-
-
-def _power_iterate(s: np.ndarray, P: np.ndarray, tol: float, budget: int = 200_000) -> np.ndarray:
-    s = np.clip(s, 0.0, None)
-    if s.sum() == 0.0:
-        s = np.full(P.shape[0], 1.0)
-    s /= s.sum()
-    for _ in range(budget):
-        nxt = s @ P
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - s)) < 0.25 * tol:
-            return nxt
-        s = nxt
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +241,6 @@ def char_root_approx(n: int, xi: float, eta: float) -> float:
     return xi * (1.0 - eta) / (1.0 - (1.0 - xi) * (1.0 - eta))
 
 
-def solve_char_root(cfg: EnergyChainConfig) -> float:
-    return char_root(cfg.N, cfg.xi, cfg.eta)
-
-
-def approx_char_root(cfg: EnergyChainConfig) -> float:
-    return char_root_approx(cfg.N, cfg.xi, cfg.eta)
-
-
 # ---------------------------------------------------------------------------
 # Closed-form stationary distributions
 # ---------------------------------------------------------------------------
@@ -291,18 +258,20 @@ def steady_closed_n1(cfg: EnergyChainConfig) -> SteadyState:
     """Single-unit consumption, any finite buffer.
 
     S_0 = (eta - xi) / (eta - xi rho^B) with rho = (1-eta) xi / ((1-xi) eta)
-    and S_i = rho^i S_0 / (1 - eta).  The balance point xi == eta is 0/0 in
-    this form; callers must fall back to the numeric oracle there.
+    and S_i = rho^i S_0 / (1 - eta).  At the balance point xi == eta, where
+    rho = 1 and the first form is 0/0, its limit S_0 = 1 / (1 + B/(1-eta))
+    is used.
     """
     if cfg.N != 1:
         raise OutOfRegime("closed_n1 requires N == 1")
     if not (cfg.xi < 1.0 and cfg.eta < 1.0):
         raise OutOfRegime("closed_n1 requires xi < 1 and eta < 1")
-    if cfg.xi == cfg.eta:
-        raise DegenerateRatio("xi == eta makes the N=1 closed form 0/0")
     rho = (1.0 - cfg.eta) * cfg.xi / ((1.0 - cfg.xi) * cfg.eta)
     s = np.empty(cfg.B + 1)
-    s[0] = (cfg.eta - cfg.xi) / (cfg.eta - cfg.xi * rho**cfg.B)
+    if cfg.xi == cfg.eta:  # rho is then exactly 1.0: both products round alike
+        s[0] = 1.0 / (1.0 + cfg.B / (1.0 - cfg.eta))
+    else:
+        s[0] = (cfg.eta - cfg.xi) / (cfg.eta - cfg.xi * rho**cfg.B)
     for i in range(1, cfg.B + 1):
         s[i] = rho**i / (1.0 - cfg.eta) * s[0]
     return _finalize(s, Regime.CLOSED_N1, char=rho)
@@ -510,22 +479,39 @@ def steady_infinite_buffer(
     )
 
 
-def steady_state(cfg: EnergyChainConfig, tol: float = 1e-12) -> SteadyState:
-    """Stationary distribution via the best applicable route.
+def steady_state(cfg: EnergyChainConfig) -> SteadyState:
+    """Exact stationary distribution of any configuration, from cut balance.
 
-    Routing: eta = 1 -> greedy form; N = 1 -> single-unit form (numeric at
-    the xi == eta degeneracy); N <= B <= 2N -> small-buffer form; everything
-    else, including the analytically open band 2N+1 <= B <= 3N and the
-    large-buffer regime, -> numeric linear solve.
+    In steady state the flow up across the cut between levels c and c+1
+    equals the flow down across it.  Only level c moves up, with
+    probability xi below N and (1-eta) xi from N on; only levels c+1..c+N
+    move down, dropping N units with probability eta (1-xi) and N-1 units
+    with probability eta xi.  So, starting from s_top = 1 (top = N when
+    eta = 1, since every level above N is then transient, and B otherwise),
+
+        s_c = [eta (1-xi) sum s_{max(c+1,N)..c+N}
+               + eta xi sum s_{max(c+1,N)..c+N-1}] / up(c),
+
+    with up(c) = xi for c < N and (1-eta) xi otherwise.  Every term is
+    non-negative, so nothing cancels; the tail s[c:] is scaled down by
+    1e-100 whenever a value passes 1e100.  O(B N) time.
+
+    At N = 1, xi = eta = 1 every level >= 1 is absorbing and the law is not
+    unique; the recursion returns the point mass on level 1.
     """
-    if cfg.eta == 1.0:
-        return steady_eta_one(cfg)
-    if cfg.N == 1:
-        if cfg.xi != cfg.eta and cfg.xi < 1.0:
-            return steady_closed_n1(cfg)
-    elif cfg.N <= cfg.B <= 2 * cfg.N and cfg.xi < 1.0:
-        return steady_closed_small_buffer(cfg)
-    return solve_steady_numeric(build_transition_matrix(cfg), tol=tol)
+    n, xi, eta = cfg.N, cfg.xi, cfg.eta
+    top = n if eta == 1.0 else cfg.B
+    drop_n, drop_n1 = eta * (1.0 - xi), eta * xi
+    s = [0.0] * (cfg.B + 1)
+    s[top] = 1.0
+    for c in range(top - 1, -1, -1):
+        lo = max(c + 1, n)
+        down = drop_n * sum(s[lo:c + n + 1]) + drop_n1 * sum(s[lo:c + n])
+        s[c] = down / (xi if c < n else (1.0 - eta) * xi)
+        if s[c] > 1e100:
+            s[c:] = [v * 1e-100 for v in s[c:]]
+    probs = np.array(s)
+    return SteadyState(probs=probs / probs.sum(), regime=Regime.CUT_RECURSION)
 
 
 def prob_energy_sufficient(ss: SteadyState, n: int) -> float:

@@ -10,11 +10,7 @@ class EhAoiError(Exception):
 
 
 class NonConvergence(EhAoiError):
-    """An iterative solver exhausted its budget above tolerance."""
-
-
-class DegenerateRatio(EhAoiError):
-    """Single-unit closed form is 0/0 at xi == eta; use the numeric solver."""
+    """A solver ended above tolerance or found no unique solution."""
 
 
 class OutOfRegime(EhAoiError):

@@ -39,7 +39,6 @@ __all__ = [
     "LinkSimulation",
     "sample_topology",
     "run",
-    "measure_empirical_chain",
 ]
 
 _CHUNK = 4096
@@ -458,8 +457,3 @@ def run(sim: SimConfig, phy: PhyConfig, net: NetworkConfig, threads: int = 1,
         realization_means=means,
         slots_measured=sim.slots - warmup,
     )
-
-
-def measure_empirical_chain(report: SimReport) -> np.ndarray:
-    """Post-warmup buffer-level frequencies (already normalized to sum 1)."""
-    return report.occupancy

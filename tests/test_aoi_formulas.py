@@ -358,3 +358,16 @@ def test_phy_validation_and_db_helper():
         PhyConfig(alpha=2.0, r=3.0, tx_snr=1.0, theta=1.0, eps=0.0)
     with pytest.raises(ValueError):
         NetworkConfig(density=-0.1, N=1, B=1, xi=0.5, eta=0.5)
+    with pytest.raises(ValueError):
+        NetworkConfig(density=math.nan, N=1, B=1, xi=0.5, eta=0.5)
+    # an infinite transmit SNR is the noise-free link, not a non-finite input
+    assert PhyConfig(alpha=3.8, r=3.0, tx_snr=math.inf, theta=1.0, eps=0.0).noise_exponent == 0.0
+
+
+@pytest.mark.parametrize("field,value", [("alpha", math.nan), ("r", math.inf), ("theta", math.nan),
+                                         ("tx_snr", math.nan)])
+def test_phy_rejects_non_finite(field, value):
+    kw = dict(alpha=3.8, r=3.0, tx_snr=10.0, theta=1.0, eps=0.0)
+    kw[field] = value
+    with pytest.raises(ValueError):
+        PhyConfig(**kw)

@@ -39,9 +39,10 @@ def test_steady_state_csv_contract(tmp_path):
     assert len(rows) == 9
     ss = steady_state(EnergyChainConfig(2, 8, 0.5, 0.5))
     assert float(rows[0][1]) == pytest.approx(ss.probs[0], rel=1e-10)
-    assert all(float(r[3]) < 1e-9 for r in rows)
+    assert all(float(r[3]) <= 1e-10 for r in rows)
     sidecar = json.loads(paths[1].read_text())
     assert sidecar["kind"] == "steady_state"
+    assert sidecar["regime"] == "cut_recursion"
     assert "library_version" in sidecar
 
 
@@ -152,6 +153,20 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "out-of-regime:" in err
 
 
+def test_nan_density_is_bad_config(tmp_path, capsys):
+    from pathlib import Path
+
+    recipe = Path(__file__).resolve().parents[1] / "recipes" / "update_rate_ecr.json"
+    doc = json.loads(recipe.read_text())
+    doc["params"]["net"]["density"] = math.nan
+    spec = tmp_path / "nan.json"
+    spec.write_text(json.dumps(doc))  # json writes the bare NaN token
+    out = tmp_path / "out"
+    assert main(["--spec", str(spec), "--out", str(out), "--quiet"]) == 2
+    assert "density" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 def test_main_happy_path(tmp_path, capsys):
     path = write_spec(tmp_path, STEADY_DOC, "ok.json")
     assert main(["--spec", str(path), "--out", str(tmp_path), "--quiet"]) == 0
@@ -176,7 +191,7 @@ def test_shipped_recipes_parse():
     assert len(recipes) >= 6
     for path in recipes:
         spec = ExperimentSpec.from_dict(json.loads(path.read_text()), fallback_name=path.stem)
-        assert spec.kind in ("steady_state", "threshold", "aoi_curve", "optimize", "simulate", "sweep")
+        assert spec.kind in ("steady_state", "threshold", "aoi_curve", "optimize", "simulate")
 
 
 @pytest.mark.slow

@@ -9,13 +9,11 @@ from ehaoi.energy_chain import (
     EnergyChainConfig,
     Regime,
     SteadyState,
-    approx_char_root,
     build_transition_matrix,
     char_poly,
     char_root,
     char_root_approx,
     prob_energy_sufficient,
-    solve_char_root,
     solve_steady_numeric,
     steady_closed_large_buffer,
     steady_closed_n1,
@@ -24,7 +22,7 @@ from ehaoi.energy_chain import (
     steady_infinite_buffer,
     steady_state,
 )
-from ehaoi.errors import DegenerateRatio, NotRecurrent, OutOfRegime
+from ehaoi.errors import NonConvergence, NotRecurrent, OutOfRegime
 
 XI_GRID = (0.2, 0.5, 0.8)
 ETA_GRID = (0.2, 0.5, 0.8)
@@ -95,16 +93,15 @@ def test_n1_large_buffer_limit():
 
 
 def test_n1_degenerate_ratio():
-    with pytest.raises(DegenerateRatio):
-        steady_closed_n1(EnergyChainConfig(N=1, B=3, xi=0.5, eta=0.5))
+    # xi == eta: rho = 1, S_0 = 1 / (1 + B/(1-eta)) and S_i = S_0 / (1-eta)
+    ss = steady_closed_n1(EnergyChainConfig(N=1, B=3, xi=0.5, eta=0.5))
+    assert np.allclose(ss.probs, [1 / 7, 2 / 7, 2 / 7, 2 / 7], atol=1e-15)
 
 
 @pytest.mark.parametrize("xi", XI_GRID)
 @pytest.mark.parametrize("eta", ETA_GRID)
 @pytest.mark.parametrize("b", (1, 2, 4, 10))
 def test_n1_matches_oracle(xi, eta, b):
-    if xi == eta:
-        pytest.skip("degenerate ratio handled by the oracle route")
     cfg = EnergyChainConfig(N=1, B=b, xi=xi, eta=eta)
     assert np.max(np.abs(steady_closed_n1(cfg).probs - oracle(cfg))) < 1e-10
 
@@ -226,12 +223,6 @@ def test_approx_root_n3_value_and_gap():
     assert abs(approx - exact) < 0.05
 
 
-def test_root_wrappers_take_config():
-    cfg = EnergyChainConfig(N=2, B=7, xi=0.8, eta=0.5)
-    assert solve_char_root(cfg) == char_root(2, 0.8, 0.5)
-    assert approx_char_root(cfg) == char_root_approx(2, 0.8, 0.5)
-
-
 # ---------------------------------------------------------------------------
 # large buffer closed form (B >= 3N + 1)
 # ---------------------------------------------------------------------------
@@ -346,15 +337,47 @@ def test_infinite_greedy_route():
 
 
 # ---------------------------------------------------------------------------
-# dispatcher and sufficiency
+# the cut recursion (steady_state) and sufficiency
 # ---------------------------------------------------------------------------
 
 def test_dispatcher_routes():
-    assert steady_state(EnergyChainConfig(1, 5, 0.3, 0.6)).regime is Regime.CLOSED_N1
-    assert steady_state(EnergyChainConfig(1, 5, 0.3, 0.3)).regime is Regime.NUMERIC_ORACLE
-    assert steady_state(EnergyChainConfig(2, 3, 0.3, 0.6)).regime is Regime.CLOSED_SMALL_BUFFER
-    assert steady_state(EnergyChainConfig(2, 7, 0.3, 0.6)).regime is Regime.NUMERIC_ORACLE
-    assert steady_state(EnergyChainConfig(3, 30, 0.3, 1.0)).regime is Regime.GREEDY_ETA1
+    # one route for every regime: greedy, single-unit, small, mid and large buffers
+    for cfg in [EnergyChainConfig(3, 30, 0.3, 1.0), EnergyChainConfig(1, 5, 0.3, 0.6),
+                EnergyChainConfig(1, 5, 0.3, 0.3), EnergyChainConfig(2, 3, 0.3, 0.6),
+                EnergyChainConfig(2, 6, 0.3, 0.6), EnergyChainConfig(2, 40, 0.3, 0.6)]:
+        assert steady_state(cfg).regime is Regime.CUT_RECURSION
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 5, 8))
+def test_steady_state_matches_oracle(n):
+    worst = 0.0
+    for xi in (0.2, 0.5, 0.8, 1.0):
+        for eta in (0.05, 0.2, 0.5, 0.8, 0.95, 0.99, 1.0):
+            if n == 1 and xi == eta == 1.0:
+                continue  # no unique law; see test_steady_state_non_unique_point
+            for b in sorted({n, n + 1, 2 * n, 2 * n + 1, 3 * n, 3 * n + 1, 10 * n, 50 * n}):
+                cfg = EnergyChainConfig(N=n, B=b, xi=xi, eta=eta)
+                dev = np.max(np.abs(steady_state(cfg).probs - oracle(cfg)))
+                assert dev <= 1e-10, f"{cfg}: dev={dev}"
+                worst = max(worst, dev)
+    assert worst > 0.0  # the two routes are computed independently
+
+
+def test_steady_state_rescales_long_buffers():
+    # s_c grows by ~1e100 every ~60 levels downward from s_B = 1 here, so the
+    # recursion rescales dozens of times before normalizing
+    cfg = EnergyChainConfig(N=2, B=3000, xi=0.2, eta=0.9)
+    ss = steady_state(cfg)
+    assert np.all(np.isfinite(ss.probs))
+    assert np.max(np.abs(ss.probs - oracle(cfg))) <= 1e-10
+
+
+def test_steady_state_non_unique_point():
+    # N = 1, xi = eta = 1: every level >= 1 is absorbing
+    cfg = EnergyChainConfig(N=1, B=5, xi=1.0, eta=1.0)
+    assert np.array_equal(steady_state(cfg).probs, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(NonConvergence, match="not unique"):
+        oracle(cfg)
 
 
 def test_prob_energy_sufficient_values():

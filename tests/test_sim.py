@@ -23,7 +23,6 @@ from ehaoi.sim import (
     SimConfig,
     Topology,
     TwoStateMarkovArrivals,
-    measure_empirical_chain,
     run,
     sample_topology,
 )
@@ -186,7 +185,7 @@ def test_occupancy_matches_greedy_law():
     net = NetworkConfig(density=0.05, N=2, B=8, xi=0.5, eta=1.0)
     sim = SimConfig(slots=20_000, realizations=2, seed=9, side=20.0)
     rep = run(sim, CLEAN, net)
-    hist = measure_empirical_chain(rep)
+    hist = rep.occupancy
     assert hist.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(hist[:3], [0.25, 0.5, 0.25], atol=0.01)
     assert np.allclose(hist[3:], 0.0, atol=1e-12)
@@ -197,7 +196,7 @@ def test_occupancy_matches_general_law():
     net = NetworkConfig(density=0.05, N=2, B=8, xi=0.5, eta=0.5)
     sim = SimConfig(slots=30_000, realizations=2, seed=10, side=20.0)
     rep = run(sim, CLEAN, net)
-    hist = measure_empirical_chain(rep)
+    hist = rep.occupancy
     assert np.max(np.abs(hist - steady_state(cfg).probs)) < 0.01
 
 
