@@ -23,7 +23,7 @@ from .energy_chain import (
     char_root_approx,
     prob_energy_sufficient,
 )
-from .errors import NeverSufficient, SaturatedAccess
+from .errors import NeverSufficient, SaturatedAccess, require_finite
 
 __all__ = [
     "PhyConfig",
@@ -49,13 +49,6 @@ def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
-def _require_finite(owner: str, **fields: float | None) -> None:
-    """Reject NaN and infinite config fields; None marks an unset optional."""
-    bad = [name for name, value in fields.items() if value is not None and not math.isfinite(value)]
-    if bad:
-        raise ValueError(f"{owner} fields must be finite: {', '.join(bad)}")
-
-
 @dataclass(frozen=True)
 class PhyConfig:
     """Link-level physical parameters.
@@ -78,7 +71,7 @@ class PhyConfig:
     bits_per_unit: int | None = None
 
     def __post_init__(self):
-        _require_finite("PhyConfig", alpha=self.alpha, r=self.r, theta=self.theta,
+        require_finite("PhyConfig", alpha=self.alpha, r=self.r, theta=self.theta,
                         eps=self.eps, target_rate=self.target_rate)
         if self.alpha <= 2.0:
             raise ValueError("alpha must exceed 2 for the interference moment to exist")
@@ -114,7 +107,7 @@ class NetworkConfig:
     eta: float
 
     def __post_init__(self):
-        _require_finite("NetworkConfig", density=self.density)
+        require_finite("NetworkConfig", density=self.density)
         if self.density < 0.0:
             raise ValueError("density must be non-negative")
         # reuse the chain validation for the protocol fields

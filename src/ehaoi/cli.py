@@ -47,8 +47,6 @@ from .sim import (
     run,
 )
 
-KINDS = ("steady_state", "threshold", "aoi_curve", "optimize", "simulate")
-
 _OUT_OF_REGIME = (OutOfRegime, NotRecurrent, SaturatedAccess, NeverSufficient,
                   TargetRateTooLow)
 _NON_CONVERGENCE = (NonConvergence, IterationBudgetExceeded)
@@ -69,8 +67,8 @@ class ExperimentSpec:
         if not isinstance(doc, dict):
             raise BadConfig("spec document must be a JSON object")
         kind = doc.get("kind")
-        if kind not in KINDS:
-            raise BadConfig(f"kind must be one of {KINDS}, got {kind!r}")
+        if kind not in _RUNNERS:
+            raise BadConfig(f"kind must be one of {tuple(_RUNNERS)}, got {kind!r}")
         sweep = None
         if "sweep" in doc and doc["sweep"] is not None:
             sw = doc["sweep"]
@@ -109,7 +107,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _phy_from_params(params: dict, n_units: int | None = None) -> PhyConfig:
+def _phy_from_params(params: dict, n_units: int | None = None, retune: bool = False) -> PhyConfig:
+    """The phy section; ``retune`` solves theta for ``n_units`` even when one is given."""
     doc = params.get("phy")
     if doc is None:
         raise BadConfig("params.phy section is required")
@@ -119,8 +118,9 @@ def _phy_from_params(params: dict, n_units: int | None = None) -> PhyConfig:
         theta = doc.get("theta")
         target_rate = doc.get("target_rate")
         bits = doc.get("bits_per_unit")
-        if theta is None:
-            if target_rate is None or bits is None or n_units is None:
+        coded = target_rate is not None and bits is not None and n_units is not None
+        if theta is None or (retune and coded):
+            if not coded:
                 raise BadConfig(
                     "phy.theta missing: provide it or target_rate+bits_per_unit with a net.N"
                 )
@@ -156,33 +156,20 @@ def _net_from_params(params: dict) -> NetworkConfig:
         raise BadConfig(f"net section missing key {exc}") from exc
 
 
-def _arrivals_from(doc: dict | None):
-    if doc is None:
-        return None
-    kind = doc.get("type")
-    if kind == "bernoulli":
-        return BernoulliArrivals(xi=float(doc["xi"]))
-    if kind == "binomial":
-        return BinomialArrivals(e_max=int(doc["e_max"]), p=float(doc["p"]))
-    if kind == "markov":
-        return TwoStateMarkovArrivals(
-            xi_good=float(doc["xi_good"]),
-            xi_bad=float(doc["xi_bad"]),
-            p_good_to_bad=float(doc["p_good_to_bad"]),
-            p_bad_to_good=float(doc["p_bad_to_good"]),
-        )
-    raise BadConfig(f"unknown arrival pattern {kind!r}")
+_ARRIVALS = {"bernoulli": BernoulliArrivals, "binomial": BinomialArrivals,
+             "markov": TwoStateMarkovArrivals}
+_UPDATES = {"bernoulli": BernoulliUpdates, "periodic": PeriodicUpdates}
 
 
-def _updates_from(doc: dict | None):
+def _pattern_from(doc: dict | None, patterns: dict, what: str):
+    """The pattern its ``type`` names, each field read from the key of its name."""
     if doc is None:
         return None
-    kind = doc.get("type")
-    if kind == "bernoulli":
-        return BernoulliUpdates(eta=float(doc["eta"]))
-    if kind == "periodic":
-        return PeriodicUpdates(period=int(doc["period"]))
-    raise BadConfig(f"unknown update pattern {kind!r}")
+    cls = patterns.get(doc.get("type"))
+    if cls is None:
+        raise BadConfig(f"unknown {what} pattern {doc.get('type')!r}")
+    return cls(**{f.name: (int if f.type in (int, "int") else float)(doc[f.name])
+                  for f in dataclasses.fields(cls)})
 
 
 def _sim_from_params(params: dict, seed_override: int | None) -> SimConfig | None:
@@ -197,8 +184,8 @@ def _sim_from_params(params: dict, seed_override: int | None) -> SimConfig | Non
             seed=seed,
             side=float(doc["side"]),
             warmup=int(doc["warmup"]) if "warmup" in doc else None,
-            arrivals=_arrivals_from(doc.get("arrivals")),
-            updates=_updates_from(doc.get("updates")),
+            arrivals=_pattern_from(doc.get("arrivals"), _ARRIVALS, "arrival"),
+            updates=_pattern_from(doc.get("updates"), _UPDATES, "update"),
             census=float(doc.get("census", 1.0)),
             boundary=str(doc.get("boundary", "torus")),
         )
@@ -226,18 +213,8 @@ def _analytic_aoi(net: NetworkConfig, phy: PhyConfig, formula: str) -> float:
     raise BadConfig(f"unknown formula {formula!r}")
 
 
-def _retuned_phy(params: dict, phy: PhyConfig, net: NetworkConfig, sweep_name: str) -> PhyConfig:
-    # sweeping N moves the blocklength, so the threshold must follow
-    if sweep_name == "N" and phy.target_rate is not None and phy.bits_per_unit is not None:
-        coding = CodingConfig(k=phy.bits_per_unit, N=net.N,
-                              target_rate=phy.target_rate, eps=phy.eps)
-        return phy.with_theta(effective_threshold_exact(coding))
-    return phy
-
-
-def _run_steady_state(spec: ExperimentSpec):
-    net = _net_from_params(spec.params)
-    cfg = net.chain
+def _run_steady_state(spec: ExperimentSpec, seed_override):
+    cfg = _net_from_params(spec.params).chain
     # the closed_form column is the exact cut recursion, numeric the dense oracle
     exact = steady_state(cfg)
     numeric = solve_steady_numeric(build_transition_matrix(cfg))
@@ -249,7 +226,7 @@ def _run_steady_state(spec: ExperimentSpec):
     return header, rows, {"regime": exact.regime.value}
 
 
-def _run_threshold(spec: ExperimentSpec):
+def _run_threshold(spec: ExperimentSpec, seed_override):
     p = spec.params
     try:
         k = int(p["bits_per_unit"])
@@ -269,7 +246,7 @@ def _run_threshold(spec: ExperimentSpec):
     return header, rows, {}
 
 
-def _run_curve(spec: ExperimentSpec, seed_override, threads):
+def _run_curve(spec: ExperimentSpec, seed_override):
     params = spec.params
     sweep = spec.sweep or ("B", tuple())
     name, values = sweep
@@ -280,28 +257,20 @@ def _run_curve(spec: ExperimentSpec, seed_override, threads):
     sim_cfg = _sim_from_params(params, seed_override)
     header = [name, "analytic_aoi", "sim_aoi", "sim_ci"]
     rows = []
-
-    def point(value: float):
+    for value in values:
         net = _set_param(base_net, name, value)
-        phy = _phy_from_params(params, n_units=net.N)
-        phy = _retuned_phy(params, phy, net, name)
+        # sweeping N moves the blocklength, so the threshold must follow
+        phy = _phy_from_params(params, n_units=net.N, retune=name == "N")
         analytic = _analytic_aoi(net, phy, formula)
-        if sim_cfg is not None:
-            report = run(sim_cfg, phy, net, threads=1)
-            return [value, analytic, report.network_aoi, report.ci_halfwidth]
-        return [value, analytic, "", ""]
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(point, values))
-    else:
-        rows = [point(v) for v in values]
+        if sim_cfg is None:
+            rows.append([value, analytic, "", ""])
+        else:
+            report = run(sim_cfg, phy, net)
+            rows.append([value, analytic, report.network_aoi, report.ci_halfwidth])
     return header, rows, {"formula": formula, "simulated": sim_cfg is not None}
 
 
-def _run_optimize(spec: ExperimentSpec, threads):
+def _run_optimize(spec: ExperimentSpec, seed_override):
     params = spec.params
     base_net = _net_from_params(params)
     phy = _phy_from_params(params, n_units=base_net.N)
@@ -310,34 +279,23 @@ def _run_optimize(spec: ExperimentSpec, threads):
     sweep = spec.sweep or ("density", (base_net.density,))
     name, values = sweep
     header = [name, "aoi_star", "eta_star", "n_star", "regime"]
-
-    def point(value: float):
-        net = _set_param(base_net, name, value)
-        best = optimize(phy, net)
-        return [value, best.aoi_star, best.eta_star, best.n_star, best.regime]
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(point, values))
-    else:
-        rows = [point(v) for v in values]
+    rows = []
+    for value in values:
+        best = optimize(phy, _set_param(base_net, name, value))
+        rows.append([value, best.aoi_star, best.eta_star, best.n_star, best.regime])
     return header, rows, {}
 
 
-def _run_simulate(spec: ExperimentSpec, seed_override, threads):
+def _run_simulate(spec: ExperimentSpec, seed_override):
     params = spec.params
     net = _net_from_params(params)
     phy = _phy_from_params(params, n_units=net.N)
     sim_cfg = _sim_from_params(params, seed_override)
     if sim_cfg is None:
         raise BadConfig("simulate requires a params.sim section")
-    report = run(sim_cfg, phy, net, threads=threads)
-    header = [
-        "network_aoi", "ci_halfwidth", "empirical_mu", "empirical_inv_mu",
-        "interval_mean", "interval_second", "slots_measured",
-    ]
+    report = run(sim_cfg, phy, net)
+    header = ["network_aoi", "ci_halfwidth", "empirical_mu", "empirical_inv_mu",
+              "interval_mean", "interval_second", "slots_measured"]
     rows = [[
         report.network_aoi, report.ci_halfwidth, report.empirical_mu,
         report.empirical_inv_mu, report.empirical_interval_mean,
@@ -346,28 +304,17 @@ def _run_simulate(spec: ExperimentSpec, seed_override, threads):
     return header, rows, {"seed": sim_cfg.seed}
 
 
-def run_experiment(
-    spec: ExperimentSpec,
-    out_dir: str | Path = ".",
-    seed: int | None = None,
-    threads: int = 1,
-    quiet: bool = False,
-) -> list[Path]:
+# one runner per kind, each (spec, seed override) -> (header, rows, sidecar extras)
+_RUNNERS = {"steady_state": _run_steady_state, "threshold": _run_threshold,
+            "aoi_curve": _run_curve, "optimize": _run_optimize, "simulate": _run_simulate}
+
+
+def run_experiment(spec: ExperimentSpec, out_dir: str | Path = ".", seed: int | None = None,
+                   quiet: bool = False) -> list[Path]:
     """Execute one experiment spec; returns the written file paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if spec.kind == "steady_state":
-        header, rows, extra = _run_steady_state(spec)
-    elif spec.kind == "threshold":
-        header, rows, extra = _run_threshold(spec)
-    elif spec.kind == "aoi_curve":
-        header, rows, extra = _run_curve(spec, seed, threads)
-    elif spec.kind == "optimize":
-        header, rows, extra = _run_optimize(spec, threads)
-    elif spec.kind == "simulate":
-        header, rows, extra = _run_simulate(spec, seed, threads)
-    else:  # unreachable: from_dict validates
-        raise BadConfig(f"unsupported kind {spec.kind!r}")
+    header, rows, extra = _RUNNERS[spec.kind](spec, seed)
     csv_path = out / (spec.output or f"{spec.name}.csv")
     _write_csv(csv_path, header, rows)
     sidecar = {
@@ -375,7 +322,6 @@ def run_experiment(
         "kind": spec.kind,
         "library_version": __version__,
         "seed": seed if seed is not None else spec.params.get("sim", {}).get("seed"),
-        "threads": threads,
         "params": spec.params,
         "sweep": None if spec.sweep is None else {"name": spec.sweep[0], "values": list(spec.sweep[1])},
         "outputs": [csv_path.name],
@@ -390,6 +336,16 @@ def run_experiment(
     return [csv_path, sidecar_path]
 
 
+_NON_FINITE = object()  # what a NaN or Infinity literal in a spec parses to
+
+
+def _finite_fields(pairs: list[tuple[str, Any]]) -> dict:
+    for key, value in pairs:
+        if value is _NON_FINITE or (isinstance(value, list) and _NON_FINITE in value):
+            raise BadConfig(f"{key} must be finite")
+    return dict(pairs)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="ehaoi",
@@ -398,18 +354,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--spec", required=True, help="path to the JSON experiment spec")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the spec seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker pool size")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted for compatibility; the work is single-threaded")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
     try:
         with open(args.spec, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=lambda _: _NON_FINITE, object_pairs_hook=_finite_fields)
         spec = ExperimentSpec.from_dict(doc, fallback_name=Path(args.spec).stem)
-        run_experiment(spec, out_dir=args.out, seed=args.seed,
-                       threads=args.threads, quiet=args.quiet)
-    except json.JSONDecodeError as exc:
-        print(f"bad-config: {exc}", file=sys.stderr)
-        return 2
+        run_experiment(spec, out_dir=args.out, seed=args.seed, quiet=args.quiet)
     except (BadConfig, ValueError, KeyError, TypeError) as exc:
         print(f"bad-config: {exc}", file=sys.stderr)
         return 2

@@ -4,6 +4,15 @@ The CLI maps these onto exit codes, so raising the most specific type
 matters there; library callers can catch ``EhAoiError`` for everything.
 """
 
+import math
+
+
+def require_finite(owner: str, **fields: float | None) -> None:
+    """Reject NaN and infinite config fields; None marks an unset optional."""
+    bad = [name for name, value in fields.items() if value is not None and not math.isfinite(value)]
+    if bad:
+        raise ValueError(f"{owner} fields must be finite: {', '.join(bad)}")
+
 
 class EhAoiError(Exception):
     """Base class for all library-specific errors."""

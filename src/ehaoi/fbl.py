@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from scipy.special import erfc, erfcinv
 
-from .errors import NonConvergence, TargetRateTooLow
+from .errors import NonConvergence, TargetRateTooLow, require_finite
 
 __all__ = [
     "CodingConfig",
@@ -50,6 +50,7 @@ class CodingConfig:
     eps: float
 
     def __post_init__(self):
+        require_finite("CodingConfig", target_rate=self.target_rate, eps=self.eps)
         if self.k < 1 or self.N < 1:
             raise ValueError("k and N must be positive integers")
         if self.blocklength < MIN_BLOCKLENGTH:

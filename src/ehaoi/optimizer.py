@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,7 +127,13 @@ def _theta_for(phy: PhyConfig, n: int, exact: bool = True) -> float:
     if phy.target_rate is None or phy.bits_per_unit is None:
         raise ValueError("phy.target_rate and phy.bits_per_unit are required to retune theta")
     cfg = CodingConfig(k=phy.bits_per_unit, N=n, target_rate=phy.target_rate, eps=phy.eps)
-    return effective_threshold_exact(cfg) if exact else effective_threshold_approx(cfg)
+    return _exact_threshold(cfg) if exact else effective_threshold_approx(cfg)
+
+
+@lru_cache(maxsize=4096)
+def _exact_threshold(cfg: CodingConfig) -> float:
+    # a miss calls the module-level name, so a wrapper installed there sees every solve
+    return effective_threshold_exact(cfg)
 
 
 def _esr_objective(phy: PhyConfig, net: NetworkConfig, eta: float, n: int) -> float:

@@ -11,21 +11,24 @@ delivery and grow by one otherwise.
 
 The simulator makes none of the analytical independence approximations,
 which is what makes it the validation oracle for every closed form.
-Identical (seed, configuration) inputs give bit-identical reports; each
-realization owns a counter-based substream keyed on (seed, index).
+``run`` works in two phases over chunks of slots.  Phase A scans the
+buffers of every link of every realization at once, since buffers never
+read decoding outcomes; phase B then decodes each realization's attempts
+and folds in ages, attempts and inter-attempt gaps.  Identical (seed,
+configuration) inputs give bit-identical reports; each realization owns
+counter-based substreams keyed on (seed, index).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .aoi import NetworkConfig, PhyConfig
 from .energy_chain import EnergyChainConfig
-from .errors import EmptyRealization
+from .errors import EmptyRealization, require_finite
 
 __all__ = [
     "BernoulliArrivals",
@@ -41,7 +44,9 @@ __all__ = [
     "run",
 ]
 
-_CHUNK = 4096
+_CHUNK = 4096  # most slots per phase A chunk
+_CELLS = 1 << 17  # most slot x link cells per phase A chunk
+_PAIRS = 1 << 16  # most (slot, transmitter, receiver) pairs per phase B block
 
 
 @dataclass(frozen=True)
@@ -169,6 +174,7 @@ class SimConfig:
             raise ValueError("census must be in (0, 1]")
         if self.boundary not in ("torus", "plane"):
             raise ValueError("boundary must be 'torus' or 'plane'")
+        require_finite("SimConfig", side=self.side)
         if self.side <= 0.0:
             raise ValueError("side must be positive")
 
@@ -226,76 +232,45 @@ def sample_topology(
     return Topology(sources=sources, receivers=receivers, side=side)
 
 
+def _markov_step(pattern: TwoStateMarkovArrivals, good: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One slot of Markov arrivals from the uniforms u[0], u[1]; advances ``good`` in place."""
+    arr = u[0] < np.where(good, pattern.xi_good, pattern.xi_bad)
+    good ^= u[1] < np.where(good, pattern.p_good_to_bad, pattern.p_bad_to_good)
+    return arr
+
+
 class LinkSimulation:
-    """Single-realization slotted engine over a fixed topology.
+    """Per-slot reference engine for one realization over a fixed topology.
 
     Public state: ``kappa`` (buffer levels), ``aoi`` (current ages),
     ``slot`` (next slot index).  ``step()`` advances one slot and returns
     the active indices, the success mask, and the arrival counts, so the
-    per-slot semantics are directly testable.
+    per-slot semantics are directly testable.  ``run`` does not step it:
+    the batched engine takes its link constants and starting state from
+    here and is checked against ``step()`` in distribution.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        phy: PhyConfig,
-        chain: EnergyChainConfig,
-        arrivals: ArrivalPattern,
-        updates: UpdatePattern,
-        rng: np.random.Generator,
-        boundary: str = "torus",
-    ):
-        self.topology = topology
+    def __init__(self, topology: Topology, phy: PhyConfig, chain: EnergyChainConfig,
+                 arrivals: ArrivalPattern, updates: UpdatePattern, rng: np.random.Generator,
+                 boundary: str = "torus"):
         self.rng = rng
         self.n = topology.n_links
-        self.N = chain.N
-        self.B = chain.B
-        self.theta = phy.theta
-        self.eps = phy.eps
+        self.N, self.B = chain.N, chain.B
+        self.theta, self.eps = phy.theta, phy.eps
         self.noise = 0.0 if math.isinf(phy.tx_snr) else 1.0 / phy.tx_snr
         dist = topology.torus_distances() if boundary == "torus" else topology.plane_distances()
         self.pathloss = dist ** (-phy.alpha)
-        self.arrivals = arrivals
-        self.updates = updates
+        self.arrivals, self.updates = arrivals, updates
         self.kappa = np.zeros(self.n, dtype=np.int64)  # buffers start empty
         self.aoi = np.zeros(self.n, dtype=np.int64)
         self.slot = 0
+        self.phase = self.markov_good = None
         if isinstance(updates, PeriodicUpdates):
             self.phase = rng.integers(0, updates.period, size=self.n)
-        else:
-            self.phase = None
         if isinstance(arrivals, TwoStateMarkovArrivals):
+            # start in the stationary split, so the rate is mean_rate from slot one
             p_good = arrivals.p_bad_to_good / (arrivals.p_good_to_bad + arrivals.p_bad_to_good)
             self.markov_good = rng.random(self.n) < p_good
-        else:
-            self.markov_good = None
-        self._arr_buf = np.empty((0, self.n), dtype=np.int64)
-        self._act_buf = np.empty((0, self.n))
-        self._cursor = 0
-
-    def _refill(self):
-        rows = _CHUNK
-        arrivals = self.arrivals
-        if isinstance(arrivals, BernoulliArrivals):
-            arr = (self.rng.random((rows, self.n)) < arrivals.xi).astype(np.int64)
-        elif isinstance(arrivals, BinomialArrivals):
-            arr = self.rng.binomial(arrivals.e_max, arrivals.p, size=(rows, self.n)).astype(np.int64)
-        else:
-            draw = self.rng.random((rows, self.n))
-            flip = self.rng.random((rows, self.n))
-            arr = np.empty((rows, self.n), dtype=np.int64)
-            good = self.markov_good
-            for t in range(rows):
-                rate = np.where(good, arrivals.xi_good, arrivals.xi_bad)
-                arr[t] = draw[t] < rate
-                p_leave = np.where(good, arrivals.p_good_to_bad, arrivals.p_bad_to_good)
-                good = good ^ (flip[t] < p_leave)
-            self.markov_good = good
-        # activation uniforms are drawn for every pattern so the stream
-        # alignment (and hence seeded comparability) does not depend on it
-        self._act_buf = self.rng.random((rows, self.n))
-        self._arr_buf = arr
-        self._cursor = 0
 
     def step(self):
         """Advance one slot; returns (active_idx, success_mask, arrivals).
@@ -303,45 +278,35 @@ class LinkSimulation:
         Activation requires kappa >= N at the slot start; the same slot's
         arrival is banked afterwards, and anything beyond B is discarded.
         """
-        if self._cursor >= self._arr_buf.shape[0]:
-            self._refill()
-        arr = self._arr_buf[self._cursor]
-        act_draw = self._act_buf[self._cursor]
-        self._cursor += 1
+        arrivals = self.arrivals
+        if isinstance(arrivals, BernoulliArrivals):
+            arr = self.rng.random(self.n) < arrivals.xi
+        elif isinstance(arrivals, BinomialArrivals):
+            arr = self.rng.binomial(arrivals.e_max, arrivals.p, size=self.n)
+        else:
+            arr = _markov_step(arrivals, self.markov_good, self.rng.random((2, self.n)))
+        arr = arr.astype(np.int64)
         can = self.kappa >= self.N
         if self.phase is not None:
             active = can & ((self.slot + self.phase) % self.updates.period == 0)
         else:
-            active = can & (act_draw < self.updates.eta)
+            active = can & (self.rng.random(self.n) < self.updates.eta)
         idx = np.flatnonzero(active)
         success = np.zeros(self.n, dtype=bool)
-        m = idx.size
-        if m:
-            fade = self.rng.standard_exponential((m, m))
+        if idx.size:
+            fade = self.rng.standard_exponential((idx.size, idx.size))
             power = fade * self.pathloss[np.ix_(idx, idx)]
             sig = power.diagonal().copy()
             interference = power.sum(axis=0) - sig
             ok = sig > self.theta * (interference + self.noise)
             if self.eps > 0.0:
-                ok &= self.rng.random(m) >= self.eps
+                ok &= self.rng.random(idx.size) >= self.eps
             success[idx[ok]] = True
         self.aoi += 1
         self.aoi[success] = 1
         self.kappa = np.minimum(self.kappa - self.N * active + arr, self.B)
         self.slot += 1
         return idx, success, arr
-
-
-@dataclass
-class _RealizationStats:
-    aoi_mean: float
-    per_link_aoi: np.ndarray
-    attempts: np.ndarray
-    successes: np.ndarray
-    interval_sum: float
-    interval_sq_sum: float
-    interval_count: int
-    occupancy: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def _census_mask(topology: Topology, census: float) -> np.ndarray:
@@ -357,103 +322,174 @@ def _default_warmup(chain: EnergyChainConfig, updates: UpdatePattern) -> int:
     return int(math.ceil(10.0 * max(chain.N / chain.xi, 1.0 / eta_eff)))
 
 
-def _simulate_one(ridx: int, sim: SimConfig, phy: PhyConfig, net: NetworkConfig,
-                  arrivals: ArrivalPattern, updates: UpdatePattern, warmup: int,
-                  topology: Topology | None = None) -> _RealizationStats:
-    seq = np.random.SeedSequence(entropy=sim.seed, spawn_key=(ridx,))
-    rng = np.random.Generator(np.random.Philox(key=seq.generate_state(2, np.uint64)))
-    if topology is None:
-        topology = sample_topology(net.density, sim.side, phy.r, rng, resample=True)
-    chain = net.chain
-    eng = LinkSimulation(topology, phy, chain, arrivals, updates, rng,
-                         boundary=sim.boundary)
-    n = eng.n
-    mask = _census_mask(topology, sim.census)
-    aoi_sum = np.zeros(n, dtype=np.float64)
-    attempts = np.zeros(n, dtype=np.int64)
-    successes = np.zeros(n, dtype=np.int64)
-    last_attempt = np.full(n, -1, dtype=np.int64)
-    t_sum = 0.0
-    t2_sum = 0.0
-    t_count = 0
-    occupancy = np.zeros(chain.B + 1, dtype=np.int64)
-    for t in range(sim.slots):
-        idx, success, _ = eng.step()
-        if t >= warmup:
-            aoi_sum += eng.aoi
-            occupancy += np.bincount(eng.kappa, minlength=chain.B + 1)
-            if idx.size:
-                attempts[idx] += 1
-                successes[success] += 1
-                prev = last_attempt[idx]
-                seen = prev >= warmup
-                if seen.any():
-                    gaps = (t - prev[seen]).astype(np.float64)
-                    t_sum += gaps.sum()
-                    t2_sum += (gaps**2).sum()
-                    t_count += gaps.size
-        if idx.size:
-            last_attempt[idx] = t
-    measured = sim.slots - warmup
-    per_link = aoi_sum[mask] / measured
-    return _RealizationStats(
-        aoi_mean=float(per_link.mean()),
-        per_link_aoi=per_link,
-        attempts=attempts[mask],
-        successes=successes[mask],
-        interval_sum=t_sum,
-        interval_sq_sum=t2_sum,
-        interval_count=t_count,
-        occupancy=occupancy,
-    )
+class _Realization:
+    """One realization: its links, a substream per draw kind, and its tallies.
+
+    Arrivals, activations, fades and decode coins each have their own
+    substream, consumed in slot order, so the way the slots are chunked
+    never shifts a stream.  All tallies are integers, so chunking never
+    changes a sum either.
+    """
+
+    def __init__(self, ridx: int, sim: SimConfig, phy: PhyConfig, net: NetworkConfig,
+                 arrivals: ArrivalPattern, updates: UpdatePattern, topology: Topology | None):
+        seq = np.random.SeedSequence(entropy=sim.seed, spawn_key=(ridx,))
+        rng = np.random.Generator(np.random.Philox(key=seq.generate_state(2, np.uint64)))
+        if topology is None:
+            topology = sample_topology(net.density, sim.side, phy.r, rng, resample=True)
+        self.arr_rng, self.act_rng, self.fade_rng, self.coin_rng = (
+            np.random.Generator(np.random.Philox(child)) for child in seq.spawn(4))
+        # the periodic phase and the Markov start come from the arrivals substream
+        self.link = LinkSimulation(topology, phy, net.chain, arrivals, updates, self.arr_rng,
+                                   boundary=sim.boundary)
+        n = self.n = topology.n_links
+        self.mask = _census_mask(topology, sim.census)
+        self.aoi_sum, self.attempts, self.successes = (np.zeros(n, dtype=np.int64) for _ in range(3))
+        self.last_success = np.zeros(n, dtype=np.int64)  # so ages start at 1
+        self.last_attempt = np.full(n, -1, dtype=np.int64)  # last measured attempt
+        self.gaps = (0, 0, 0)  # count, sum and sum of squares of inter-attempt gaps
+
+    def _decode(self, link: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """Success of each attempt of a block of whole slots, attempts in (slot, link) order.
+
+        Every (slot, transmitter, receiver) pair of active links gets one
+        fade; a segment sum over the pairs gives each receiver's total power.
+        """
+        m = m[m > 0]
+        size = np.repeat(m, m)  # attempts in the slot of each attempt
+        first = np.repeat(np.cumsum(m) - m, m)  # first attempt of that slot
+        pair0 = np.cumsum(size) - size  # first pair of each transmitter
+        # the pairs of transmitter a run over the receivers first[a], first[a] + 1, ...
+        rx = np.arange(size.sum()) - np.repeat(pair0 - first, size)
+        power = self.fade_rng.standard_exponential(rx.size)
+        power *= self.link.pathloss.ravel()[np.repeat(link * self.n, size) + link[rx]]
+        signal = power[pair0 + np.arange(link.size) - first]
+        interference = np.bincount(rx, weights=power, minlength=link.size) - signal
+        ok = signal > self.link.theta * (interference + self.link.noise)
+        if self.link.eps > 0.0:
+            ok &= self.coin_rng.random(link.size) >= self.link.eps
+        return ok
+
+    def absorb(self, t0: int, active: np.ndarray, warmup: int) -> None:
+        """Phase B: decode one chunk's attempts, then fold ages, attempts and gaps in."""
+        rows = active.shape[0]
+        slot, link = np.nonzero(active)
+        m = np.bincount(slot, minlength=rows)
+        pairs = np.concatenate(([0], np.cumsum(m * m)))
+        entries = np.concatenate(([0], np.cumsum(m)))
+        ok = np.empty(slot.size, dtype=bool)
+        lo = 0
+        while lo < rows:  # blocks of whole slots with at most _PAIRS pairs
+            hi = max(lo + 1, int(np.searchsorted(pairs, pairs[lo] + _PAIRS, side="right")) - 1)
+            ok[entries[lo]:entries[hi]] = self._decode(link[entries[lo]:entries[hi]], m[lo:hi])
+            lo = hi
+        success = np.zeros_like(active)
+        success[slot[ok], link[ok]] = True
+        post = max(0, warmup - t0)  # first measured row
+        t = t0 + np.arange(rows)[:, None]
+        measured = active[post:]
+        # row k: the last success (or 0) and the last measured attempt (or -1) before row k
+        last = np.maximum.accumulate(np.vstack((self.last_success, np.where(success, t, 0))))
+        tried = np.maximum.accumulate(np.vstack((self.last_attempt, np.where(measured, t[post:], -1))))
+        self.last_success, self.last_attempt = last[-1].copy(), tried[-1].copy()
+        self.aoi_sum += (t[post:] + 1).sum() - last[post + 1:].sum(axis=0)  # age: t - last + 1
+        self.attempts += measured.sum(axis=0)
+        self.successes += success[post:].sum(axis=0)
+        gaps = (t[post:] - tried[:-1])[measured & (tried[:-1] >= 0)]
+        stats = (gaps.size, gaps.sum(), (gaps * gaps).sum())
+        self.gaps = tuple(a + int(b) for a, b in zip(self.gaps, stats))
 
 
-def run(sim: SimConfig, phy: PhyConfig, net: NetworkConfig, threads: int = 1,
+def _buffer_scan(reals: list[_Realization], slots: int, chain: EnergyChainConfig,
+                 arrivals: ArrivalPattern, updates: UpdatePattern):
+    """Phase A: yields (first slot, post-slot levels, activations) chunk by chunk.
+
+    Buffers never read decoding outcomes, so one loop over the slots runs
+    on a flat vector holding every link of every realization.  Its body is
+    a single gather from a table of next levels indexed by (gate,
+    arrivals, level).  Chunks hold at most _CELLS slot x link cells.
+    """
+    width = sum(r.n for r in reals)
+    rows_max = max(1, min(_CHUNK, _CELLS // max(width, 1)))
+
+    def flat(draw, axis=1):
+        return np.concatenate([draw(r) for r in reals], axis=axis)
+
+    top = arrivals.e_max if isinstance(arrivals, BinomialArrivals) else 1
+    lv = np.arange(chain.B + 1)
+    fire = (lv >= chain.N) & (np.arange(2)[:, None, None] == 1)
+    table = np.minimum(lv - chain.N * fire + np.arange(top + 1)[:, None], chain.B).ravel()
+    level = np.zeros(width, dtype=np.intp)
+    index = np.empty(width, dtype=np.intp)
+    good = flat(lambda r: r.link.markov_good, axis=0) if isinstance(arrivals, TwoStateMarkovArrivals) else None
+    phase = flat(lambda r: r.link.phase, axis=0) if isinstance(updates, PeriodicUpdates) else None
+    for t0 in range(0, slots, rows_max):
+        rows = min(rows_max, slots - t0)
+        if isinstance(arrivals, BernoulliArrivals):
+            arr = flat(lambda r: r.arr_rng.random((rows, r.n)) < arrivals.xi)
+        elif isinstance(arrivals, BinomialArrivals):
+            arr = flat(lambda r: r.arr_rng.binomial(arrivals.e_max, arrivals.p, size=(rows, r.n)))
+        else:
+            u = flat(lambda r: r.arr_rng.random((rows, 2, r.n)), axis=2)
+            arr = np.empty((rows, width), dtype=bool)
+            for t in range(rows):
+                arr[t] = _markov_step(arrivals, good, u[t])
+        if phase is not None:
+            gate = (t0 + np.arange(rows)[:, None] + phase) % updates.period == 0
+        else:
+            gate = flat(lambda r: r.act_rng.random((rows, r.n)) < updates.eta)
+        code = (gate.astype(np.int32) * (top + 1) + arr) * (chain.B + 1)
+        levels = np.empty((rows + 1, width), dtype=np.intp)  # row 0: the level before t0
+        levels[0] = level
+        for t in range(rows):
+            np.add(code[t], levels[t], out=index)
+            table.take(index, out=levels[t + 1])
+        level = levels[-1].copy()
+        yield t0, levels[1:], (levels[:-1] >= chain.N) & gate
+
+
+def run(sim: SimConfig, phy: PhyConfig, net: NetworkConfig,
         topology: Topology | None = None) -> SimReport:
     """Monte Carlo estimate of the network average AoI and its companions.
 
     Realizations are independent (fresh topology and fading) and own
     deterministic substreams, so the report is reproducible bit for bit for
-    a given (seed, config) regardless of ``threads``.  Passing ``topology``
-    pins the node layout for every realization (useful for single-link and
-    sensitivity studies); only the temporal randomness is redrawn.
+    a given (seed, config), and the first k realization means do not depend
+    on how many more follow.  Passing ``topology`` pins the node layout for
+    every realization (useful for single-link and sensitivity studies);
+    only the temporal randomness is redrawn.
     """
     arrivals = sim.arrivals if sim.arrivals is not None else BernoulliArrivals(net.xi)
     updates = sim.updates if sim.updates is not None else BernoulliUpdates(net.eta)
     chain = net.chain
     warmup = sim.warmup if sim.warmup is not None else min(_default_warmup(chain, updates), sim.slots // 2)
+    reals = [_Realization(ridx, sim, phy, net, arrivals, updates, topology)
+             for ridx in range(sim.realizations)]
+    bounds = np.cumsum([0] + [r.n for r in reals])
+    occupancy = np.zeros(chain.B + 1, dtype=np.int64)
+    for t0, levels, active in _buffer_scan(reals, sim.slots, chain, arrivals, updates):
+        occupancy += np.bincount(levels[max(0, warmup - t0):].ravel(), minlength=chain.B + 1)
+        for r, lo, hi in zip(reals, bounds[:-1], bounds[1:]):
+            r.absorb(t0, active[:, lo:hi], warmup)
 
-    def job(ridx: int) -> _RealizationStats:
-        return _simulate_one(ridx, sim, phy, net, arrivals, updates, warmup, topology)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            stats = list(pool.map(job, range(sim.realizations)))
-    else:
-        stats = [job(ridx) for ridx in range(sim.realizations)]
-
-    means = np.array([s.aoi_mean for s in stats])
-    per_link = np.concatenate([s.per_link_aoi for s in stats])
-    attempts = np.concatenate([s.attempts for s in stats])
-    successes = np.concatenate([s.successes for s in stats])
-    total_attempts = int(attempts.sum())
-    total_successes = int(successes.sum())
+    measured = sim.slots - warmup
+    per_link = [r.aoi_sum[r.mask] / measured for r in reals]
+    means = np.array([p.mean() for p in per_link])
+    attempts = np.concatenate([r.attempts[r.mask] for r in reals])
+    successes = np.concatenate([r.successes[r.mask] for r in reals])
     delivered = successes > 0
     inv_mu = float(np.mean(attempts[delivered] / successes[delivered])) if delivered.any() else math.inf
-    t_count = sum(s.interval_count for s in stats)
-    t_mean = sum(s.interval_sum for s in stats) / t_count if t_count else math.nan
-    t_second = sum(s.interval_sq_sum for s in stats) / t_count if t_count else math.nan
-    occupancy = np.sum([s.occupancy for s in stats], axis=0)
+    count, total, squares = (sum(column) for column in zip(*(r.gaps for r in reals)))
     ci = 1.96 * float(means.std(ddof=1)) / math.sqrt(len(means)) if len(means) > 1 else 0.0
     return SimReport(
         network_aoi=float(means.mean()),
         ci_halfwidth=ci,
-        empirical_mu=total_successes / total_attempts if total_attempts else math.nan,
+        empirical_mu=int(successes.sum()) / int(attempts.sum()) if attempts.any() else math.nan,
         empirical_inv_mu=inv_mu,
-        empirical_interval_mean=t_mean,
-        empirical_interval_second=t_second,
-        per_link_aoi=per_link,
+        empirical_interval_mean=total / count if count else math.nan,
+        empirical_interval_second=squares / count if count else math.nan,
+        per_link_aoi=np.concatenate(per_link),
         occupancy=occupancy / occupancy.sum(),
         realization_means=means,
-        slots_measured=sim.slots - warmup,
+        slots_measured=measured,
     )

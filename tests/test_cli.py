@@ -167,6 +167,23 @@ def test_nan_density_is_bad_config(tmp_path, capsys):
     assert not list(out.glob("*.csv"))
 
 
+def test_nan_target_rate_is_bad_config(tmp_path, capsys):
+    doc = {"name": "nan_rate", "kind": "threshold",
+           "params": {"bits_per_unit": 100, "target_rate": math.nan, "n_values": [1, 2]}}
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
+    assert "target_rate" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_infinite_sweep_value_is_bad_config(tmp_path, capsys):
+    doc = dict(STEADY_DOC, kind="aoi_curve", sweep={"name": "B", "values": [8, math.inf]})
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
+    assert "values" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 def test_main_happy_path(tmp_path, capsys):
     path = write_spec(tmp_path, STEADY_DOC, "ok.json")
     assert main(["--spec", str(path), "--out", str(tmp_path), "--quiet"]) == 0

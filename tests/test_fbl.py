@@ -118,3 +118,6 @@ def test_config_validation():
         CodingConfig(k=100, N=1, target_rate=0.825, eps=1e-7)
     with pytest.raises(ValueError):
         CodingConfig(k=100, N=1, target_rate=-1.0, eps=1e-6)
+    for rate in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            CodingConfig(k=100, N=1, target_rate=rate, eps=1e-6)

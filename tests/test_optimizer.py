@@ -1,11 +1,13 @@
 """Update-rate/blocklength optimizer against independent search oracles."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import golden_minimize
+from ehaoi import optimizer
 from ehaoi.aoi import NetworkConfig, PhyConfig, db_to_linear, network_aoi_large_buffer
 from ehaoi.fbl import CodingConfig, effective_threshold_exact
 from ehaoi.optimizer import (
@@ -159,3 +161,19 @@ def test_optimize_requires_coding_context():
     phy = PhyConfig(alpha=3.8, r=3.0, tx_snr=100.0, theta=1.0, eps=1e-6)
     with pytest.raises(ValueError):
         optimize(phy, NetworkConfig(density=0.01, N=1, B=100, xi=0.5, eta=0.5))
+
+
+def test_density_sweep_solves_each_threshold_once(monkeypatch):
+    solves = Counter()
+    exact = optimizer.effective_threshold_exact
+
+    def counted(cfg):
+        solves[cfg] += 1
+        return exact(cfg)
+
+    monkeypatch.setattr(optimizer, "effective_threshold_exact", counted)
+    optimizer._exact_threshold.cache_clear()
+    for density in np.geomspace(0.001, 0.1, 80):
+        optimize(PHY20, NetworkConfig(density=float(density), N=1, B=100, xi=0.55, eta=0.55))
+    assert len(solves) > 1
+    assert max(solves.values()) == 1

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ehaoi import sim as sim_module
 from ehaoi.aoi import (
     NetworkConfig,
     PhyConfig,
@@ -159,18 +160,106 @@ def test_run_every_slot_fresh():
     assert rep.empirical_mu == 1.0
 
 
-def test_run_is_deterministic_and_thread_invariant():
+def assert_same_report(x, a):
+    for name in ("network_aoi", "ci_halfwidth", "empirical_mu", "empirical_inv_mu",
+                 "empirical_interval_mean", "empirical_interval_second", "slots_measured"):
+        assert getattr(x, name) == getattr(a, name), name
+    for name in ("per_link_aoi", "occupancy", "realization_means"):
+        assert np.array_equal(getattr(x, name), getattr(a, name)), name
+
+
+def test_run_is_deterministic_and_thread_invariant(monkeypatch):
+    # reruns agree bit for bit, and so does a run batched in other chunks
     net = NetworkConfig(density=0.01, N=2, B=10, xi=0.5, eta=0.5)
     phy = PhyConfig(alpha=3.8, r=3.0, tx_snr=db_to_linear(13.0), theta=1.3, eps=1e-6)
     sim = SimConfig(slots=800, realizations=4, seed=33, side=40.0)
     a = run(sim, phy, net)
     b = run(sim, phy, net)
-    c = run(sim, phy, net, threads=2)
+    monkeypatch.setattr(sim_module, "_CHUNK", 97)
+    c = run(sim, phy, net)
     for x in (b, c):
-        assert x.network_aoi == a.network_aoi
-        assert x.empirical_mu == a.empirical_mu
-        assert np.array_equal(x.per_link_aoi, a.per_link_aoi)
-        assert np.array_equal(x.occupancy, a.occupancy)
+        assert_same_report(x, a)
+
+
+PATTERNS = {
+    "bernoulli": (BernoulliArrivals(0.5), BernoulliUpdates(0.6)),
+    "binomial": (BinomialArrivals(e_max=10, p=0.05), BernoulliUpdates(0.6)),
+    "markov": (TwoStateMarkovArrivals(xi_good=0.8, xi_bad=0.2, p_good_to_bad=0.2, p_bad_to_good=0.2),
+               BernoulliUpdates(0.6)),
+    "periodic": (BernoulliArrivals(0.5), PeriodicUpdates(3)),
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(PATTERNS))
+def test_run_does_not_depend_on_chunking(monkeypatch, pattern):
+    # each draw kind has its own substream read in slot order, and every
+    # tally is an integer, so neither chunk nor block sizes move a bit
+    arrivals, updates = PATTERNS[pattern]
+    net = NetworkConfig(density=0.01, N=2, B=10, xi=0.5, eta=0.6)
+    phy = PhyConfig(alpha=3.8, r=3.0, tx_snr=db_to_linear(30.0), theta=1.3, eps=0.05)
+    sim = SimConfig(slots=1500, realizations=3, seed=8, side=40.0, warmup=150,
+                    arrivals=arrivals, updates=updates)
+    monkeypatch.setattr(sim_module, "_CHUNK", 4096)
+    a = run(sim, phy, net)
+    monkeypatch.setattr(sim_module, "_CHUNK", 97)
+    assert_same_report(run(sim, phy, net), a)
+    monkeypatch.setattr(sim_module, "_CELLS", 500)
+    monkeypatch.setattr(sim_module, "_PAIRS", 40)
+    assert_same_report(run(sim, phy, net), a)
+
+
+def test_realization_prefix_invariance():
+    net = NetworkConfig(density=0.01, N=2, B=10, xi=0.5, eta=0.5)
+    phy = PhyConfig(alpha=3.8, r=3.0, tx_snr=db_to_linear(13.0), theta=1.3, eps=1e-6)
+    four = run(SimConfig(slots=600, realizations=4, seed=21, side=40.0), phy, net)
+    two = run(SimConfig(slots=600, realizations=2, seed=21, side=40.0), phy, net)
+    assert np.array_equal(four.realization_means[:2], two.realization_means)
+
+
+def step_statistics(topology, chain, phy, arrivals, updates, slots, warmup, seed):
+    """Occupancy, inter-attempt moments, mean age and success ratio of the per-slot engine."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
+    eng = LinkSimulation(topology, phy, chain, arrivals, updates, rng)
+    occupancy = np.zeros(chain.B + 1)
+    last = np.full(eng.n, -1)
+    gaps = []
+    age = attempts = successes = 0
+    for t in range(slots):
+        idx, success, _ = eng.step()
+        if t >= warmup:
+            occupancy += np.bincount(eng.kappa, minlength=chain.B + 1)
+            seen = idx[last[idx] >= 0]
+            gaps.extend(t - last[seen])
+            last[idx] = t
+            age += eng.aoi.mean()
+            attempts += idx.size
+            successes += success.sum()
+    gaps = np.array(gaps, dtype=float)
+    return (occupancy / occupancy.sum(), gaps.mean(), (gaps**2).mean(),
+            age / (slots - warmup), successes / attempts)
+
+
+@pytest.mark.parametrize("pattern", sorted(PATTERNS))
+def test_batched_engine_agrees_with_step_in_distribution(pattern):
+    # same pinned topology, independent streams: buffer statistics must agree,
+    # and so must ages and decoding where every realization sees the same
+    # interference (periodic phases, drawn once per realization, fix who collides)
+    arrivals, updates = PATTERNS[pattern]
+    chain = EnergyChainConfig(N=2, B=6, xi=0.5, eta=0.6)
+    net = NetworkConfig(density=0.01, N=2, B=6, xi=0.5, eta=0.6)
+    phy = PhyConfig(alpha=3.8, r=3.0, tx_snr=db_to_linear(30.0), theta=1.3, eps=0.05)
+    topo = sample_topology(0.01, 40.0, 3.0, np.random.default_rng(3))
+    slots, warmup = 12_000, 200
+    occ, mean, second, age, mu = step_statistics(topo, chain, phy, arrivals, updates,
+                                                 slots, warmup, seed=4)
+    rep = run(SimConfig(slots=slots, realizations=2, seed=5, side=40.0, warmup=warmup,
+                        arrivals=arrivals, updates=updates), phy, net, topology=topo)
+    assert np.max(np.abs(rep.occupancy - occ)) < 0.02
+    assert rep.empirical_interval_mean == pytest.approx(mean, rel=0.03)
+    assert rep.empirical_interval_second == pytest.approx(second, rel=0.06)
+    if pattern != "periodic":
+        assert rep.network_aoi == pytest.approx(age, rel=0.05)
+        assert rep.empirical_mu == pytest.approx(mu, rel=0.03)
 
 
 def test_run_seed_changes_outcome():
@@ -289,3 +378,6 @@ def test_sim_config_validation():
         SimConfig(slots=10, realizations=1, seed=1, side=10.0, census=0.0)
     with pytest.raises(ValueError):
         SimConfig(slots=10, realizations=1, seed=1, side=10.0, boundary="mirror")
+    for side in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(slots=10, realizations=1, seed=1, side=side)
