@@ -81,10 +81,6 @@ class PhyConfig:
         if not 0.0 <= self.eps < 1.0:
             raise ValueError("eps must be in [0, 1)")
 
-    @classmethod
-    def from_db(cls, alpha, r, snr_db, theta, eps, **kw) -> "PhyConfig":
-        return cls(alpha=alpha, r=r, tx_snr=db_to_linear(snr_db), theta=theta, eps=eps, **kw)
-
     def with_theta(self, theta: float) -> "PhyConfig":
         return replace(self, theta=theta)
 
@@ -152,7 +148,8 @@ def inv_success_moment(phy: PhyConfig, net: NetworkConfig, p_active: float) -> f
     """E[1/mu]: mean reciprocal transmission success probability.
 
     exp(lambda Omega r^2 p / (1-p)^(1-2/alpha) + noise exponent) / (1 - eps)
-    where p is the per-slot activity probability of a node.
+    where p is the per-slot activity probability of a node.  Raises
+    SaturatedAccess when p reaches 1 or the exponent overflows a float.
     """
     if p_active < 0.0:
         raise ValueError("p_active must be non-negative")
@@ -163,7 +160,13 @@ def inv_success_moment(phy: PhyConfig, net: NetworkConfig, p_active: float) -> f
     else:
         geom = net.density * omega(phy.theta, phy.alpha) * phy.r**2
         exponent = geom * p_active / (1.0 - p_active) ** (1.0 - 2.0 / phy.alpha)
-    return math.exp(exponent + phy.noise_exponent) / (1.0 - phy.eps)
+    exponent += phy.noise_exponent
+    try:
+        return math.exp(exponent) / (1.0 - phy.eps)
+    except OverflowError:
+        raise SaturatedAccess(
+            f"success-moment exponent {exponent:.6g} overflows: links almost never decode"
+        ) from None
 
 
 def interval_moments(ss: SteadyState, cfg: EnergyChainConfig) -> IntervalMoments:

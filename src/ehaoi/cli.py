@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any
@@ -22,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .aoi import NetworkConfig, PhyConfig, network_aoi_general, network_aoi_greedy, network_aoi_large_buffer, network_aoi_small_buffer
+from .aoi import NetworkConfig, PhyConfig, db_to_linear, network_aoi_general, network_aoi_greedy, network_aoi_large_buffer, network_aoi_small_buffer
 from .energy_chain import build_transition_matrix, solve_steady_numeric, steady_state
 from .errors import (
     BadConfig,
@@ -107,6 +108,13 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _integer(key: str, value: Any) -> int:
+    """``int(value)``, refusing a fractional number rather than truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise BadConfig(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _phy_from_params(params: dict, n_units: int | None = None, retune: bool = False) -> PhyConfig:
     """The phy section; ``retune`` solves theta for ``n_units`` even when one is given."""
     doc = params.get("phy")
@@ -114,7 +122,7 @@ def _phy_from_params(params: dict, n_units: int | None = None, retune: bool = Fa
         raise BadConfig("params.phy section is required")
     try:
         snr = float(doc["snr_db"]) if "snr_db" in doc else None
-        tx_snr = 10.0 ** (snr / 10.0) if snr is not None else float(doc["tx_snr"])
+        tx_snr = db_to_linear(snr) if snr is not None else float(doc["tx_snr"])
         theta = doc.get("theta")
         target_rate = doc.get("target_rate")
         bits = doc.get("bits_per_unit")
@@ -124,7 +132,7 @@ def _phy_from_params(params: dict, n_units: int | None = None, retune: bool = Fa
                 raise BadConfig(
                     "phy.theta missing: provide it or target_rate+bits_per_unit with a net.N"
                 )
-            coding = CodingConfig(k=int(bits), N=int(n_units),
+            coding = CodingConfig(k=_integer("phy.bits_per_unit", bits), N=n_units,
                                   target_rate=float(target_rate), eps=float(doc["eps"]))
             theta = effective_threshold_exact(coding)
         return PhyConfig(
@@ -134,7 +142,7 @@ def _phy_from_params(params: dict, n_units: int | None = None, retune: bool = Fa
             theta=float(theta),
             eps=float(doc["eps"]),
             target_rate=None if target_rate is None else float(target_rate),
-            bits_per_unit=None if bits is None else int(bits),
+            bits_per_unit=None if bits is None else _integer("phy.bits_per_unit", bits),
         )
     except KeyError as exc:
         raise BadConfig(f"phy section missing key {exc}") from exc
@@ -147,8 +155,8 @@ def _net_from_params(params: dict) -> NetworkConfig:
     try:
         return NetworkConfig(
             density=float(doc["density"]),
-            N=int(doc["N"]),
-            B=int(doc["B"]),
+            N=_integer("net.N", doc["N"]),
+            B=_integer("net.B", doc["B"]),
             xi=float(doc["xi"]),
             eta=float(doc["eta"]),
         )
@@ -161,15 +169,15 @@ _ARRIVALS = {"bernoulli": BernoulliArrivals, "binomial": BinomialArrivals,
 _UPDATES = {"bernoulli": BernoulliUpdates, "periodic": PeriodicUpdates}
 
 
-def _pattern_from(doc: dict | None, patterns: dict, what: str):
+def _pattern_from(doc: dict | None, patterns: dict, key: str):
     """The pattern its ``type`` names, each field read from the key of its name."""
     if doc is None:
         return None
     cls = patterns.get(doc.get("type"))
     if cls is None:
-        raise BadConfig(f"unknown {what} pattern {doc.get('type')!r}")
-    return cls(**{f.name: (int if f.type in (int, "int") else float)(doc[f.name])
-                  for f in dataclasses.fields(cls)})
+        raise BadConfig(f"unknown {key} pattern {doc.get('type')!r}")
+    return cls(**{f.name: _integer(f"{key}.{f.name}", doc[f.name]) if f.type in (int, "int")
+                  else float(doc[f.name]) for f in dataclasses.fields(cls)})
 
 
 def _sim_from_params(params: dict, seed_override: int | None) -> SimConfig | None:
@@ -177,15 +185,15 @@ def _sim_from_params(params: dict, seed_override: int | None) -> SimConfig | Non
     if doc is None:
         return None
     try:
-        seed = seed_override if seed_override is not None else int(doc.get("seed", 0))
+        seed = seed_override if seed_override is not None else _integer("sim.seed", doc.get("seed", 0))
         return SimConfig(
-            slots=int(doc["slots"]),
-            realizations=int(doc["realizations"]),
+            slots=_integer("sim.slots", doc["slots"]),
+            realizations=_integer("sim.realizations", doc["realizations"]),
             seed=seed,
             side=float(doc["side"]),
-            warmup=int(doc["warmup"]) if "warmup" in doc else None,
-            arrivals=_pattern_from(doc.get("arrivals"), _ARRIVALS, "arrival"),
-            updates=_pattern_from(doc.get("updates"), _UPDATES, "update"),
+            warmup=_integer("sim.warmup", doc["warmup"]) if "warmup" in doc else None,
+            arrivals=_pattern_from(doc.get("arrivals"), _ARRIVALS, "sim.arrivals"),
+            updates=_pattern_from(doc.get("updates"), _UPDATES, "sim.updates"),
             census=float(doc.get("census", 1.0)),
             boundary=str(doc.get("boundary", "torus")),
         )
@@ -197,7 +205,7 @@ def _set_param(net: NetworkConfig, name: str, value: float) -> NetworkConfig:
     if name not in ("density", "N", "B", "xi", "eta"):
         raise BadConfig(f"unknown sweep parameter {name!r}")
     kw = dataclasses.asdict(net)
-    kw[name] = int(value) if name in ("N", "B") else value
+    kw[name] = _integer(f"sweep value of {name}", value) if name in ("N", "B") else value
     return NetworkConfig(**kw)
 
 
@@ -229,9 +237,9 @@ def _run_steady_state(spec: ExperimentSpec, seed_override):
 def _run_threshold(spec: ExperimentSpec, seed_override):
     p = spec.params
     try:
-        k = int(p["bits_per_unit"])
+        k = _integer("bits_per_unit", p["bits_per_unit"])
         target_rate = float(p["target_rate"])
-        n_values = [int(v) for v in p.get("n_values", [1])]
+        n_values = [_integer("n_values", v) for v in p.get("n_values", [1])]
         eps_values = [float(v) for v in p.get("eps_values", [p.get("eps", 1e-6)])]
     except KeyError as exc:
         raise BadConfig(f"threshold params missing {exc}") from exc
@@ -296,12 +304,19 @@ def _run_simulate(spec: ExperimentSpec, seed_override):
     report = run(sim_cfg, phy, net)
     header = ["network_aoi", "ci_halfwidth", "empirical_mu", "empirical_inv_mu",
               "interval_mean", "interval_second", "slots_measured"]
-    rows = [[
+    row = [
         report.network_aoi, report.ci_halfwidth, report.empirical_mu,
         report.empirical_inv_mu, report.empirical_interval_mean,
         report.empirical_interval_second, report.slots_measured,
-    ]]
-    return header, rows, {"seed": sim_cfg.seed}
+    ]
+    # SimReport marks an unmeasured quantity with nan or inf; a CSV must not
+    bad = [field for field, value in zip(header, row) if not math.isfinite(value)]
+    if bad:
+        raise BadConfig(
+            f"simulate measured {', '.join(bad)} as non-finite: the measured horizon saw no "
+            "attempt or no delivery; lengthen sim.slots or raise the update rate"
+        )
+    return header, [row], {"seed": sim_cfg.seed}
 
 
 # one runner per kind, each (spec, seed override) -> (header, rows, sidecar extras)

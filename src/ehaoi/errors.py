@@ -35,7 +35,7 @@ class NeverSufficient(EhAoiError):
 
 
 class SaturatedAccess(EhAoiError):
-    """Per-slot activity probability reached 1; interference moment diverges."""
+    """Per-slot activity reached 1 or the success moment overflows a float."""
 
 
 class TargetRateTooLow(EhAoiError):

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import erfc, erfcinv
+from statistics import NormalDist
 
 from .errors import NonConvergence, TargetRateTooLow, require_finite
 
@@ -32,6 +31,8 @@ LOG2E = math.log2(math.e)
 MIN_BLOCKLENGTH = 100
 MIN_EPS = 1e-6
 GAMMA_FLOOR = 0.1
+
+_STANDARD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -69,18 +70,20 @@ class CodingConfig:
 
 def gaussian_q(x: float) -> float:
     """Q(x) = P(Z > x) for standard normal Z."""
-    return 0.5 * erfc(x / math.sqrt(2.0))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
 def q_inverse(p: float) -> float:
     """Inverse Gaussian Q-function, polished to ~1e-15 relative accuracy.
 
-    One Newton step on top of erfcinv guards the round trip Q(q_inverse(p))
-    == p to well below the 1e-12 budget the thresholds rely on.
+    Seeded from the standard library's normal quantile as -inv_cdf(p): the
+    form inv_cdf(1 - p) would round away the tail at p = 1e-6.  One Newton
+    step then guards the round trip Q(q_inverse(p)) == p to well below the
+    1e-12 budget the thresholds rely on.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    x = math.sqrt(2.0) * float(erfcinv(2.0 * p))
+    x = -_STANDARD_NORMAL.inv_cdf(p)
     # Newton polish: d/dx Q(x) = -pdf(x)
     pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     if pdf > 0.0:

@@ -89,6 +89,13 @@ def test_inv_success_saturation():
     assert inv_success_moment(phy, free, 1.0) > 1.0
 
 
+def test_inv_success_overflow_is_saturation():
+    # exponent ~960 at density 50 and activity 0.3: math.exp would overflow
+    net = NetworkConfig(density=50.0, N=2, B=30, xi=0.5, eta=0.3)
+    with pytest.raises(SaturatedAccess, match="exponent"):
+        inv_success_moment(PHY_13DB, net, 0.3)
+
+
 @pytest.mark.slow
 def test_inv_success_against_poisson_field_monte_carlo():
     rng = np.random.default_rng(321)

@@ -3,9 +3,13 @@
 import csv
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ehaoi
 from ehaoi.cli import ExperimentSpec, main, run_experiment
 from ehaoi.energy_chain import EnergyChainConfig, steady_state
 from ehaoi.errors import BadConfig
@@ -23,6 +27,17 @@ def read_csv(path):
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
 
+
+THRESHOLD_DOC = {
+    "name": "thr",
+    "kind": "threshold",
+    "params": {
+        "bits_per_unit": 100,
+        "target_rate": 0.825,
+        "n_values": [1, 2, 5],
+        "eps_values": [1e-2, 1e-6],
+    },
+}
 
 STEADY_DOC = {
     "name": "steady_demo",
@@ -54,17 +69,7 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_threshold_kind(tmp_path):
-    doc = {
-        "name": "thr",
-        "kind": "threshold",
-        "params": {
-            "bits_per_unit": 100,
-            "target_rate": 0.825,
-            "n_values": [1, 2, 5],
-            "eps_values": [1e-2, 1e-6],
-        },
-    }
-    paths = run_experiment(ExperimentSpec.from_dict(doc), out_dir=tmp_path, quiet=True)
+    paths = run_experiment(ExperimentSpec.from_dict(THRESHOLD_DOC), out_dir=tmp_path, quiet=True)
     header, rows = read_csv(paths[0])
     assert header == ["blocklength", "eps", "exact", "approx", "abs_gap"]
     assert len(rows) == 6
@@ -154,8 +159,6 @@ def test_main_exit_codes(tmp_path, capsys):
 
 
 def test_nan_density_is_bad_config(tmp_path, capsys):
-    from pathlib import Path
-
     recipe = Path(__file__).resolve().parents[1] / "recipes" / "update_rate_ecr.json"
     doc = json.loads(recipe.read_text())
     doc["params"]["net"]["density"] = math.nan
@@ -184,6 +187,77 @@ def test_infinite_sweep_value_is_bad_config(tmp_path, capsys):
     assert not list(out.glob("*.csv"))
 
 
+def test_cli_loads_no_scipy(tmp_path):
+    # a fresh interpreter, so no module imported by the test suite leaks in;
+    # it runs in the directory holding the package, which `-c` puts on sys.path
+    code = (
+        "import json, sys\n"
+        "from ehaoi.cli import main\n"
+        "status = main(['--spec', sys.argv[1], '--out', sys.argv[2], '--quiet'])\n"
+        "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+    )
+    spec = write_spec(tmp_path, THRESHOLD_DOC)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(spec), str(tmp_path / "out")],
+        cwd=Path(ehaoi.__file__).parents[1], capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
+
+
+CURVE_PHY = {"alpha": 3.8, "r": 3.0, "snr_db": 20.0, "eps": 1e-6,
+             "target_rate": 0.825, "bits_per_unit": 100}
+
+
+@pytest.mark.parametrize("section, key, value, named", [
+    ("net", "N", 2.9, "net.N"),
+    ("net", "B", 30.7, "net.B"),
+    ("sweep", "values", [2.5, 3.0], "sweep value of N"),
+    ("sim", "slots", 400.5, "sim.slots"),
+], ids=["net.N", "net.B", "sweep", "sim.slots"])
+def test_fractional_integer_field_is_bad_config(tmp_path, capsys, section, key, value, named):
+    doc = {
+        "name": "trunc",
+        "kind": "aoi_curve",
+        "params": {"phy": CURVE_PHY, "net": {"density": 0.01, "N": 2, "B": 30, "xi": 0.5, "eta": 0.3},
+                   "sim": {"slots": 400, "realizations": 1, "side": 40.0}},
+        "sweep": {"name": "N", "values": [2.0, 3.0]},
+    }
+    (doc if section == "sweep" else doc["params"])[section][key] = value
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
+    assert f"{named} must be an integer" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_simulate_without_deliveries_is_bad_config(tmp_path, capsys):
+    # 4 slots at xi = 0.1 with N = 3: no node gathers a packet's worth of energy
+    doc = {
+        "name": "starved",
+        "kind": "simulate",
+        "params": {"phy": CURVE_PHY, "net": {"density": 0.01, "N": 3, "B": 30, "xi": 0.1, "eta": 0.3},
+                   "sim": {"slots": 4, "realizations": 1, "side": 20.0}},
+    }
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "empirical_mu" in err and "no attempt or no delivery" in err
+    assert not list(out.glob("*.csv"))
+
+
+def test_overflowing_success_moment_is_out_of_regime(tmp_path, capsys):
+    doc = {
+        "name": "dense",
+        "kind": "aoi_curve",
+        "params": {"phy": CURVE_PHY, "net": {"density": 50, "N": 2, "B": 30, "xi": 0.5, "eta": 0.3}},
+        "sweep": {"name": "B", "values": [30]},
+    }
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 3
+    assert "exponent" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 def test_main_happy_path(tmp_path, capsys):
     path = write_spec(tmp_path, STEADY_DOC, "ok.json")
     assert main(["--spec", str(path), "--out", str(tmp_path), "--quiet"]) == 0
@@ -201,8 +275,6 @@ def test_spec_validation():
 
 
 def test_shipped_recipes_parse():
-    from pathlib import Path
-
     recipe_dir = Path(__file__).resolve().parents[1] / "recipes"
     recipes = sorted(recipe_dir.glob("*.json"))
     assert len(recipes) >= 6
@@ -213,8 +285,6 @@ def test_shipped_recipes_parse():
 
 @pytest.mark.slow
 def test_shipped_simulation_recipe_runs(tmp_path):
-    from pathlib import Path
-
     recipe = Path(__file__).resolve().parents[1] / "recipes" / "aoi_vs_buffer.json"
     doc = json.loads(recipe.read_text())
     # shrink the Monte Carlo budget for the smoke run

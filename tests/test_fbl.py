@@ -29,6 +29,15 @@ def test_q_inverse_round_trip(p):
     assert gaussian_q(q_inverse(p)) == pytest.approx(p, rel=1e-12)
 
 
+def test_q_inverse_matches_scipy_isf():
+    from scipy.stats import norm
+
+    tail = [1e-8 * (0.5 / 1e-8) ** (i / 400) for i in range(400)]  # geometric over [1e-8, 0.5)
+    upper = [0.5 + 0.49 * i / 49 for i in range(1, 50)]  # (0.5, 0.99]
+    for p in tail + upper:
+        assert q_inverse(p) == pytest.approx(norm.isf(p), rel=1e-14, abs=0.0)
+
+
 def test_rate_zero_sinr_keeps_only_length_bonus():
     for c in (100, 500, 10_000):
         assert max_coding_rate(0.0, c, 1e-6) == pytest.approx(

@@ -119,6 +119,15 @@ def test_ecr_search_flags_exhausted_upper_bound():
     assert res.n_units == 2
 
 
+def test_ecr_search_scans_past_overflowing_success_moment():
+    # at density 50 the success moment of N = 1, 2 overflows a float; the
+    # scan scores those lengths as saturated and goes on to longer codewords
+    net = NetworkConfig(density=50.0, N=1, B=300, xi=0.5, eta=1.0)
+    res = ecr_search(PHY20, net, n_upper=10)
+    assert [pt[3] for pt in res.trace[:2]] == [math.inf, math.inf]
+    assert math.isfinite(res.aoi) and res.n_units > 2
+
+
 def test_ecr_matches_explicit_scan():
     net = NetworkConfig(density=0.01, N=1, B=100, xi=0.75, eta=1.0)
     res = ecr_search(PHY20, net)
