@@ -153,8 +153,8 @@ def esr_search(
 
     Each half-step solves its one-dimensional subproblem exactly (update
     rate by bisection with the xi/N clamp, codeword length by the floor
-    rule) with the decoding threshold retuned to the current N.  Stops when
-    the objective moves less than ``tol``.
+    rule, at most the buffer size B) with the decoding threshold retuned to
+    the current N.  Stops when the objective moves less than ``tol``.
     """
     xi = net_base.xi
     n = 1
@@ -171,7 +171,7 @@ def esr_search(
                 optimal_eta_esr(net_base.density, om, phy_n.r, phy_n.alpha), xi, n
             )
         else:
-            n = optimal_n_esr(xi, eta)
+            n = min(optimal_n_esr(xi, eta), net_base.B)
             phy_n = phy_base.with_theta(_theta_for(phy_base, n, exact_threshold))
         aoi = _esr_objective(phy_n, net_base, eta, n)
         trace.append((it, eta, n, aoi))
@@ -190,13 +190,15 @@ def ecr_search(
     """Forward scan over N at eta = 1 in the energy-constrained regime.
 
     The greedy objective either increases monotonically or has a single
-    minimum, so the scan stops at the first increase; if none is seen by
-    ``n_upper`` the best value found is returned with ``hit_upper`` set.
+    minimum, so the scan stops at the first increase.  A codeword cannot
+    need more units than the buffer holds, so N stops at min(n_upper, B);
+    if no increase is seen by then, the best value found is returned with
+    ``hit_upper`` set.
     """
     best_aoi = math.inf
     best_n = 1
     trace: list[tuple[int, float, int, float]] = []
-    for n in range(1, n_upper + 1):
+    for n in range(1, min(n_upper, net_base.B) + 1):
         phy_n = phy_base.with_theta(_theta_for(phy_base, n, exact_threshold))
         probe = NetworkConfig(
             density=net_base.density, N=n, B=net_base.B, xi=net_base.xi, eta=1.0

@@ -3,20 +3,28 @@
 Source-destination pairs are dropped as a Poisson process on a square that
 wraps around (minimum-image torus), so every receiver sees a statistically
 edge-free interference field.  Each slot: energy arrives, nodes holding at
-least N units fire with the configured update pattern, Rayleigh fades are
-drawn independently per transmitter-receiver pair, and a packet is delivered
-when its SINR clears the decoding threshold and an independent decode coin
-with success probability 1 - eps comes up good.  Ages reset to one on
-delivery and grow by one otherwise.
+least N units fire with the configured update pattern, and a packet is
+delivered when its SINR under independent Rayleigh fades clears the decoding
+threshold and an independent decode coin with success probability 1 - eps
+comes up good.  Ages reset to one on delivery and grow by one otherwise.
 
 The simulator makes none of the analytical independence approximations,
-which is what makes it the validation oracle for every closed form.
-``run`` works in two phases over chunks of slots.  Phase A scans the
-buffers of every link of every realization at once, since buffers never
-read decoding outcomes; phase B then decodes each realization's attempts
-and folds in ages, attempts and inter-attempt gaps.  Identical (seed,
-configuration) inputs give bit-identical reports; each realization owns
-counter-based substreams keyed on (seed, index).
+which is what makes it the validation oracle for every closed form: it
+conditions on the exact positions and the exact set of links active in each
+slot.  Given those, only the fades are left to draw, and link i decodes with
+probability
+
+    (1 - eps) exp(-theta noise / L_ii) prod_{j active, j != i} 1 / (1 + theta L_ji / L_ii),
+
+where L_ji is the path loss from source j to receiver i.  ``run`` draws one
+uniform per attempt against that probability; ``LinkSimulation.step`` keeps
+explicit fades as the independent per-slot reference.  ``run`` works in two
+phases over chunks of slots.  Phase A scans the buffers of every link of
+every realization at once, since buffers never read decoding outcomes;
+phase B then decodes each realization's attempts and folds in ages,
+attempts and inter-attempt gaps.  Identical (seed, configuration) inputs
+give bit-identical reports; each realization owns counter-based substreams
+keyed on (seed, index).
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ __all__ = [
 
 _CHUNK = 4096  # most slots per phase A chunk
 _CELLS = 1 << 17  # most slot x link cells per phase A chunk
-_PAIRS = 1 << 16  # most (slot, transmitter, receiver) pairs per phase B block
+_GAIN_CAP = 1024.0  # exp(-1024) is 0.0, so a larger log-gain decides nothing more
 
 
 @dataclass(frozen=True)
@@ -188,7 +196,9 @@ class SimReport:
     realization means.  empirical_mu pools successes over attempts, while
     empirical_inv_mu averages per-link attempts/successes (the quantity the
     reciprocal-moment formula predicts).  occupancy is the post-warmup
-    buffer-level frequency over all nodes and slots.
+    buffer-level frequency over all nodes and slots.  links holds the link
+    count of each realization, and activity the share of links (all of
+    them, not only census links) active in a measured slot.
     """
 
     network_aoi: float
@@ -201,6 +211,8 @@ class SimReport:
     occupancy: np.ndarray
     realization_means: np.ndarray
     slots_measured: int
+    links: np.ndarray
+    activity: float
 
 
 def sample_topology(
@@ -325,10 +337,10 @@ def _default_warmup(chain: EnergyChainConfig, updates: UpdatePattern) -> int:
 class _Realization:
     """One realization: its links, a substream per draw kind, and its tallies.
 
-    Arrivals, activations, fades and decode coins each have their own
-    substream, consumed in slot order, so the way the slots are chunked
-    never shifts a stream.  All tallies are integers, so chunking never
-    changes a sum either.
+    Arrivals, activations and decode coins each have their own substream,
+    consumed in slot order, so the way the slots are chunked never shifts a
+    stream.  All tallies are integers, so chunking never changes a sum
+    either.
     """
 
     def __init__(self, ridx: int, sim: SimConfig, phy: PhyConfig, net: NetworkConfig,
@@ -337,8 +349,8 @@ class _Realization:
         rng = np.random.Generator(np.random.Philox(key=seq.generate_state(2, np.uint64)))
         if topology is None:
             topology = sample_topology(net.density, sim.side, phy.r, rng, resample=True)
-        self.arr_rng, self.act_rng, self.fade_rng, self.coin_rng = (
-            np.random.Generator(np.random.Philox(child)) for child in seq.spawn(4))
+        self.arr_rng, self.act_rng, self.coin_rng = (
+            np.random.Generator(np.random.Philox(child)) for child in seq.spawn(3))
         # the periodic phase and the Markov start come from the arrivals substream
         self.link = LinkSimulation(topology, phy, net.chain, arrivals, updates, self.arr_rng,
                                    boundary=sim.boundary)
@@ -348,41 +360,31 @@ class _Realization:
         self.last_success = np.zeros(n, dtype=np.int64)  # so ages start at 1
         self.last_attempt = np.full(n, -1, dtype=np.int64)  # last measured attempt
         self.gaps = (0, 0, 0)  # count, sum and sum of squares of inter-attempt gaps
-
-    def _decode(self, link: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """Success of each attempt of a block of whole slots, attempts in (slot, link) order.
-
-        Every (slot, transmitter, receiver) pair of active links gets one
-        fade; a segment sum over the pairs gives each receiver's total power.
-        """
-        m = m[m > 0]
-        size = np.repeat(m, m)  # attempts in the slot of each attempt
-        first = np.repeat(np.cumsum(m) - m, m)  # first attempt of that slot
-        pair0 = np.cumsum(size) - size  # first pair of each transmitter
-        # the pairs of transmitter a run over the receivers first[a], first[a] + 1, ...
-        rx = np.arange(size.sum()) - np.repeat(pair0 - first, size)
-        power = self.fade_rng.standard_exponential(rx.size)
-        power *= self.link.pathloss.ravel()[np.repeat(link * self.n, size) + link[rx]]
-        signal = power[pair0 + np.arange(link.size) - first]
-        interference = np.bincount(rx, weights=power, minlength=link.size) - signal
-        ok = signal > self.link.theta * (interference + self.link.noise)
-        if self.link.eps > 0.0:
-            ok &= self.coin_rng.random(link.size) >= self.link.eps
-        return ok
+        # -log P(link i decodes) = c_i + sum of G[j, i] over the other active j,
+        # with G[j, i] = log1p(theta L_ji / L_ii).  G is kept in whole units of
+        # a power of two so small that every column sum is an integer below
+        # 2^53: all partial sums of the product in absorb are then exact, and
+        # no blocking or thread count of the BLAS can change a bit.  The
+        # rounding moves -log P by at most n quantum / 2 (2e-9 at 144 links).
+        theta, pathloss = self.link.theta, self.link.pathloss
+        own = pathloss.diagonal()
+        gain = np.minimum(np.log1p(theta * pathloss / own), _GAIN_CAP)
+        np.fill_diagonal(gain, 0.0)
+        self.quantum = 2.0 ** (math.ceil(math.log2(max(n, 1) * _GAIN_CAP)) - 53)
+        self.gain = np.rint(gain / self.quantum)  # [source j, receiver i]
+        self.noise_term = theta * self.link.noise / own  # c_i
 
     def absorb(self, t0: int, active: np.ndarray, warmup: int) -> None:
-        """Phase B: decode one chunk's attempts, then fold ages, attempts and gaps in."""
+        """Phase B: decode one chunk's attempts, then fold ages, attempts and gaps in.
+
+        Each attempt, in (slot, link) order, draws one uniform against its
+        success probability given the links active in its slot.
+        """
         rows = active.shape[0]
         slot, link = np.nonzero(active)
-        m = np.bincount(slot, minlength=rows)
-        pairs = np.concatenate(([0], np.cumsum(m * m)))
-        entries = np.concatenate(([0], np.cumsum(m)))
-        ok = np.empty(slot.size, dtype=bool)
-        lo = 0
-        while lo < rows:  # blocks of whole slots with at most _PAIRS pairs
-            hi = max(lo + 1, int(np.searchsorted(pairs, pairs[lo] + _PAIRS, side="right")) - 1)
-            ok[entries[lo]:entries[hi]] = self._decode(link[entries[lo]:entries[hi]], m[lo:hi])
-            lo = hi
+        neg_log_p = (active.astype(np.float64) @ self.gain)[slot, link] * self.quantum
+        neg_log_p += self.noise_term[link]
+        ok = self.coin_rng.random(link.size) < (1.0 - self.link.eps) * np.exp(-neg_log_p)
         success = np.zeros_like(active)
         success[slot[ok], link[ok]] = True
         post = max(0, warmup - t0)  # first measured row
@@ -481,6 +483,7 @@ def run(sim: SimConfig, phy: PhyConfig, net: NetworkConfig,
     inv_mu = float(np.mean(attempts[delivered] / successes[delivered])) if delivered.any() else math.inf
     count, total, squares = (sum(column) for column in zip(*(r.gaps for r in reals)))
     ci = 1.96 * float(means.std(ddof=1)) / math.sqrt(len(means)) if len(means) > 1 else 0.0
+    links = np.array([r.n for r in reals])
     return SimReport(
         network_aoi=float(means.mean()),
         ci_halfwidth=ci,
@@ -492,4 +495,6 @@ def run(sim: SimConfig, phy: PhyConfig, net: NetworkConfig,
         occupancy=occupancy / occupancy.sum(),
         realization_means=means,
         slots_measured=measured,
+        links=links,
+        activity=int(sum(r.attempts.sum() for r in reals)) / (measured * int(links.sum())),
     )

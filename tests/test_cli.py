@@ -132,6 +132,25 @@ def test_optimize_kind(tmp_path):
     assert int(rows[1][3]) >= int(rows[0][3])
 
 
+def test_optimize_keeps_codewords_within_the_buffer(tmp_path):
+    # the searches used to probe N = 15 > B = 10 here, and the spec exited 2
+    doc = {
+        "name": "opt_small_buffer",
+        "kind": "optimize",
+        "params": {
+            "phy": {"alpha": 3.8, "r": 3.0, "snr_db": 20.0, "eps": 1e-6,
+                     "target_rate": 0.825, "bits_per_unit": 100},
+            "net": {"density": 0.5, "N": 1, "B": 10, "xi": 0.5, "eta": 0.5},
+        },
+    }
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 0
+    _, rows = read_csv(out / "opt_small_buffer.csv")
+    assert len(rows) == 1
+    assert all(math.isfinite(float(v)) for v in rows[0][:4])
+    assert 1 <= int(rows[0][3]) <= 10
+
+
 def test_main_exit_codes(tmp_path, capsys):
     # io: missing file
     assert main(["--spec", str(tmp_path / "nope.json")]) == 5

@@ -119,6 +119,27 @@ def test_ecr_search_flags_exhausted_upper_bound():
     assert res.n_units == 2
 
 
+def test_ecr_search_stops_at_the_buffer():
+    # the AoI still falls at N = 10 = B, so the scan stops on the buffer bound
+    net = NetworkConfig(density=0.5, N=1, B=10, xi=0.5, eta=1.0)
+    res = ecr_search(PHY20, net)
+    assert res.hit_upper
+    assert res.n_units == 10
+    assert [pt[2] for pt in res.trace] == list(range(1, 11))
+
+
+@pytest.mark.parametrize("density, b", [(0.5, 10), (50.0, 300)])
+def test_searches_keep_codewords_within_the_buffer(density, b):
+    # the floor rule asks for N = 15 and N = 1547 here, more than the buffer holds
+    net = NetworkConfig(density=density, N=1, B=b, xi=0.5, eta=0.5)
+    esr, ecr = esr_search(PHY20, net), ecr_search(PHY20, net)
+    assert max(pt[2] for pt in esr.trace + ecr.trace) <= b
+    assert esr.n_units == b
+    best = optimize(PHY20, net)
+    assert math.isfinite(best.aoi_star)
+    assert 1 <= best.n_star <= b
+
+
 def test_ecr_search_scans_past_overflowing_success_moment():
     # at density 50 the success moment of N = 1, 2 overflows a float; the
     # scan scores those lengths as saturated and goes on to longer codewords

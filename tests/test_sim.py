@@ -1,6 +1,12 @@
 """Monte Carlo simulator: per-slot semantics, determinism, law checks."""
 
+import dataclasses
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +28,7 @@ from ehaoi.sim import (
     LinkSimulation,
     PeriodicUpdates,
     SimConfig,
+    SimReport,
     Topology,
     TwoStateMarkovArrivals,
     run,
@@ -161,11 +168,8 @@ def test_run_every_slot_fresh():
 
 
 def assert_same_report(x, a):
-    for name in ("network_aoi", "ci_halfwidth", "empirical_mu", "empirical_inv_mu",
-                 "empirical_interval_mean", "empirical_interval_second", "slots_measured"):
-        assert getattr(x, name) == getattr(a, name), name
-    for name in ("per_link_aoi", "occupancy", "realization_means"):
-        assert np.array_equal(getattr(x, name), getattr(a, name)), name
+    for field in dataclasses.fields(SimReport):
+        assert np.array_equal(getattr(x, field.name), getattr(a, field.name)), field.name
 
 
 def test_run_is_deterministic_and_thread_invariant(monkeypatch):
@@ -204,8 +208,122 @@ def test_run_does_not_depend_on_chunking(monkeypatch, pattern):
     monkeypatch.setattr(sim_module, "_CHUNK", 97)
     assert_same_report(run(sim, phy, net), a)
     monkeypatch.setattr(sim_module, "_CELLS", 500)
-    monkeypatch.setattr(sim_module, "_PAIRS", 40)
     assert_same_report(run(sim, phy, net), a)
+
+
+def test_run_does_not_depend_on_blas_threads():
+    # ~50 links per realization; decoding sums interference terms in a matrix
+    # product, whose bits must not move with the BLAS thread count
+    code = (
+        "import pickle, sys\n"
+        "from ehaoi.aoi import NetworkConfig, PhyConfig, db_to_linear\n"
+        "from ehaoi.sim import SimConfig, run\n"
+        "net = NetworkConfig(density=0.02, N=2, B=10, xi=0.6, eta=0.7)\n"
+        "phy = PhyConfig(alpha=3.8, r=3.0, tx_snr=db_to_linear(20.0), theta=1.3, eps=0.01)\n"
+        "rep = run(SimConfig(slots=3000, realizations=2, seed=17, side=50.0), phy, net)\n"
+        "pickle.dump(rep, sys.stdout.buffer)\n"
+    )
+    src = Path(sim_module.__file__).parents[1]
+    reports = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        reports.append(pickle.loads(proc.stdout))
+    assert reports[0].links.sum() > 60
+    assert_same_report(reports[1], reports[0])
+
+
+def test_interference_sums_are_exact():
+    # the stored log-gains are whole numbers small enough that a float64
+    # product of any 0/1 activity block equals the integer product, whatever
+    # order the BLAS adds in; a receiver on top of a source is capped
+    rng = np.random.default_rng(12)
+    topo = sample_topology(0.01, 120.0, 3.0, rng)
+    topo.sources[1] = topo.receivers[0]
+    net = NetworkConfig(density=0.01, N=2, B=10, xi=0.6, eta=0.7)
+    phy = PhyConfig(alpha=3.8, r=3.0, tx_snr=db_to_linear(20.0), theta=1.3, eps=0.01)
+    sim = SimConfig(slots=10, realizations=1, seed=1, side=120.0)
+    with np.errstate(divide="ignore"):
+        real = sim_module._Realization(0, sim, phy, net, BernoulliArrivals(0.6),
+                                       BernoulliUpdates(0.7), topo)
+    n = real.n
+    assert n > 100
+    whole = real.gain.astype(np.int64)
+    assert np.array_equal(whole, real.gain)
+    assert whole.sum(axis=0).max() < 2**53
+    exact = np.log1p(phy.theta * real.link.pathloss / real.link.pathloss.diagonal())
+    np.fill_diagonal(exact, 0.0)
+    assert real.gain[1, 0] * real.quantum == sim_module._GAIN_CAP
+    finite = np.isfinite(exact)
+    assert np.all(np.abs(real.gain * real.quantum - exact)[finite] <= real.quantum / 2)
+    active = rng.random((300, n)) < 0.6
+    product = active.astype(np.float64) @ real.gain
+    assert np.array_equal(product, active.astype(np.int64) @ whole)
+
+
+# four links on a 50 m torus, each with its own length, and interference that
+# is far from symmetric: source 1 sits 3.2 m from receiver 0, while source 0
+# is 8.1 m from receiver 1
+SKEWED = Topology(sources=np.array([[10.0, 10.0], [14.0, 13.0], [22.0, 9.0], [8.0, 18.0]]),
+                  receivers=np.array([[13.0, 10.0], [17.5, 13.0], [19.5, 9.0], [8.0, 22.0]]),
+                  side=50.0)
+SKEWED_PHY = PhyConfig(alpha=3.8, r=3.0, tx_snr=db_to_linear(20.0), theta=0.8, eps=0.15)
+SATURATED = NetworkConfig(density=0.01, N=1, B=1, xi=1.0, eta=1.0)  # all links fire every slot
+
+
+def saturated_success(topology, phy):
+    """Per-link success probability when every link transmits: the Laplace product."""
+    gain = topology.torus_distances() ** -phy.alpha  # [source j, receiver i]
+    own = gain.diagonal()
+    odds = 1.0 + phy.theta * gain / own
+    np.fill_diagonal(odds, 1.0)
+    return (1.0 - phy.eps) * np.exp(-phy.theta / (phy.tx_snr * own)) / odds.prod(axis=0)
+
+
+def test_saturated_links_decode_with_the_laplace_product():
+    # a geometric inter-delivery time of success probability p has mean age 1/p;
+    # swapping interferer and receiver, dropping the noise term or dropping the
+    # 1 - eps factor each move some link's 1/p by at least 15%
+    p = saturated_success(SKEWED, SKEWED_PHY)
+    sim = SimConfig(slots=20_000, realizations=12, seed=3, side=SKEWED.side, warmup=100)
+    rep = run(sim, SKEWED_PHY, SATURATED, topology=SKEWED)
+    per_link = rep.per_link_aoi.reshape(sim.realizations, SKEWED.n_links)
+    mean = per_link.mean(axis=0)
+    stderr = per_link.std(axis=0, ddof=1) / math.sqrt(sim.realizations)
+    assert np.all(stderr < 0.01 * mean)
+    assert np.all(np.abs(mean - 1.0 / p) < 4.0 * stderr), (mean, 1.0 / p, stderr)
+
+
+def test_saturated_decode_draws_one_coin_per_attempt():
+    # the decode substream is child 2 of the realization's seed sequence; from
+    # slot 1 on every link attempts, and attempt (t, i) succeeds iff its uniform,
+    # drawn in (slot, link) order, falls below the link's success probability
+    p = saturated_success(SKEWED, SKEWED_PHY)
+    sim = SimConfig(slots=3000, realizations=1, seed=11, side=SKEWED.side, warmup=40)
+    rep = run(sim, SKEWED_PHY, SATURATED, topology=SKEWED)
+    child = np.random.SeedSequence(entropy=sim.seed, spawn_key=(0,)).spawn(3)[2]
+    coins = np.random.Generator(np.random.Philox(child)).random((sim.slots - 1, SKEWED.n_links))
+    success = np.vstack((np.zeros((1, SKEWED.n_links), dtype=bool), coins < p))
+    t = np.arange(sim.slots)[:, None]
+    last = np.maximum.accumulate(np.where(success, t, 0))
+    ages = (t - last + 1)[sim.warmup:]
+    assert np.array_equal(rep.per_link_aoi, ages.sum(axis=0) / rep.slots_measured)
+
+
+def test_report_counts_links_and_activity():
+    sim = SimConfig(slots=500, realizations=3, seed=4, side=SKEWED.side)
+    rep = run(sim, SKEWED_PHY, SATURATED, topology=SKEWED)
+    assert rep.links.tolist() == [4, 4, 4]
+    assert rep.activity == 1.0
+    # Bernoulli updating: a link is active when it holds N units and its eta coin fires
+    net = NetworkConfig(density=0.01, N=2, B=8, xi=0.5, eta=0.5)
+    sim = SimConfig(slots=20_000, realizations=2, seed=10, side=20.0)
+    rep = run(sim, CLEAN, net)
+    predicted = net.eta * prob_energy_sufficient(steady_state(net.chain), net.N)
+    assert rep.links.shape == (2,) and np.all(rep.links > 0)
+    assert rep.activity == pytest.approx(predicted, rel=0.03)
 
 
 def test_realization_prefix_invariance():
