@@ -8,7 +8,7 @@ infinite-buffer limit in both the energy-sufficient and energy-constrained
 regimes.
 
 All SNR-like quantities are linear inside this module; convert decibel
-inputs with :func:`db_to_linear` at the boundary.
+inputs with :func:`db_to_linear` where they enter.
 """
 
 from __future__ import annotations

@@ -23,19 +23,9 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .aoi import NetworkConfig, PhyConfig, db_to_linear, network_aoi_general, network_aoi_greedy, network_aoi_large_buffer, network_aoi_small_buffer
+from .aoi import NetworkConfig, PhyConfig, db_to_linear, network_aoi_general, network_aoi_large_buffer
 from .energy_chain import build_transition_matrix, solve_steady_numeric, steady_state
-from .errors import (
-    BadConfig,
-    EhAoiError,
-    IterationBudgetExceeded,
-    NeverSufficient,
-    NonConvergence,
-    NotRecurrent,
-    OutOfRegime,
-    SaturatedAccess,
-    TargetRateTooLow,
-)
+from .errors import BadConfig, EhAoiError
 from .fbl import CodingConfig, effective_threshold_approx, effective_threshold_exact
 from .optimizer import optimize
 from .sim import (
@@ -47,11 +37,6 @@ from .sim import (
     TwoStateMarkovArrivals,
     run,
 )
-
-_OUT_OF_REGIME = (OutOfRegime, NotRecurrent, SaturatedAccess, NeverSufficient,
-                  TargetRateTooLow)
-_NON_CONVERGENCE = (NonConvergence, IterationBudgetExceeded)
-
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentSpec:
@@ -115,11 +100,24 @@ def _integer(key: str, value: Any) -> int:
     return int(value)
 
 
+def _known(section: str, doc: dict, keys: tuple[str, ...]) -> None:
+    """Refuse a key of ``doc`` outside ``keys``, which would otherwise be ignored."""
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise BadConfig(f"{section} has unknown key {unknown[0]!r}; known keys: {', '.join(keys)}")
+
+
+_PHY_KEYS = ("alpha", "r", "snr_db", "tx_snr", "theta", "eps", "target_rate", "bits_per_unit")
+_NET_KEYS = ("density", "N", "B", "xi", "eta")
+_SIM_KEYS = ("slots", "realizations", "seed", "side", "warmup", "arrivals", "updates")
+
+
 def _phy_from_params(params: dict, n_units: int | None = None, retune: bool = False) -> PhyConfig:
     """The phy section; ``retune`` solves theta for ``n_units`` even when one is given."""
     doc = params.get("phy")
     if doc is None:
         raise BadConfig("params.phy section is required")
+    _known("phy", doc, _PHY_KEYS)
     try:
         snr = float(doc["snr_db"]) if "snr_db" in doc else None
         tx_snr = db_to_linear(snr) if snr is not None else float(doc["tx_snr"])
@@ -152,6 +150,7 @@ def _net_from_params(params: dict) -> NetworkConfig:
     doc = params.get("net")
     if doc is None:
         raise BadConfig("params.net section is required")
+    _known("net", doc, _NET_KEYS)
     try:
         return NetworkConfig(
             density=float(doc["density"]),
@@ -176,6 +175,7 @@ def _pattern_from(doc: dict | None, patterns: dict, key: str):
     cls = patterns.get(doc.get("type"))
     if cls is None:
         raise BadConfig(f"unknown {key} pattern {doc.get('type')!r}")
+    _known(key, doc, ("type", *(f.name for f in dataclasses.fields(cls))))
     return cls(**{f.name: _integer(f"{key}.{f.name}", doc[f.name]) if f.type in (int, "int")
                   else float(doc[f.name]) for f in dataclasses.fields(cls)})
 
@@ -184,6 +184,7 @@ def _sim_from_params(params: dict, seed_override: int | None) -> SimConfig | Non
     doc = params.get("sim")
     if doc is None:
         return None
+    _known("sim", doc, _SIM_KEYS)
     try:
         seed = seed_override if seed_override is not None else _integer("sim.seed", doc.get("seed", 0))
         return SimConfig(
@@ -194,8 +195,6 @@ def _sim_from_params(params: dict, seed_override: int | None) -> SimConfig | Non
             warmup=_integer("sim.warmup", doc["warmup"]) if "warmup" in doc else None,
             arrivals=_pattern_from(doc.get("arrivals"), _ARRIVALS, "sim.arrivals"),
             updates=_pattern_from(doc.get("updates"), _UPDATES, "sim.updates"),
-            census=float(doc.get("census", 1.0)),
-            boundary=str(doc.get("boundary", "torus")),
         )
     except KeyError as exc:
         raise BadConfig(f"sim section missing key {exc}") from exc
@@ -214,11 +213,7 @@ def _analytic_aoi(net: NetworkConfig, phy: PhyConfig, formula: str) -> float:
         return network_aoi_general(steady_state(net.chain), net, phy)
     if formula == "large_buffer":
         return network_aoi_large_buffer(net, phy)
-    if formula == "small_buffer":
-        return network_aoi_small_buffer(net, phy)
-    if formula == "greedy":
-        return network_aoi_greedy(net, phy)
-    raise BadConfig(f"unknown formula {formula!r}")
+    raise BadConfig(f"formula must be 'general' or 'large_buffer', got {formula!r}")
 
 
 def _run_steady_state(spec: ExperimentSpec, seed_override):
@@ -378,21 +373,15 @@ def main(argv: list[str] | None = None) -> int:
             doc = json.load(fh, parse_constant=lambda _: _NON_FINITE, object_pairs_hook=_finite_fields)
         spec = ExperimentSpec.from_dict(doc, fallback_name=Path(args.spec).stem)
         run_experiment(spec, out_dir=args.out, seed=args.seed, quiet=args.quiet)
-    except (BadConfig, ValueError, KeyError, TypeError) as exc:
+    except EhAoiError as exc:  # each type carries its exit code and label
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"bad-config: {exc}", file=sys.stderr)
         return 2
-    except _OUT_OF_REGIME as exc:
-        print(f"out-of-regime: {exc}", file=sys.stderr)
-        return 3
-    except _NON_CONVERGENCE as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return 4
     except OSError as exc:
         print(f"io: {exc}", file=sys.stderr)
         return 5
-    except EhAoiError as exc:  # anything else library-specific
-        print(f"out-of-regime: {exc}", file=sys.stderr)
-        return 3
     return 0
 
 

@@ -1,7 +1,8 @@
 """Exception types shared across the library.
 
-The CLI maps these onto exit codes, so raising the most specific type
-matters there; library callers can catch ``EhAoiError`` for everything.
+Each type carries the CLI exit code and stderr label it maps to, so
+raising the most specific type matters there; library callers can catch
+``EhAoiError`` for everything.
 """
 
 import math
@@ -17,9 +18,15 @@ def require_finite(owner: str, **fields: float | None) -> None:
 class EhAoiError(Exception):
     """Base class for all library-specific errors."""
 
+    exit_code = 3
+    label = "out-of-regime"
+
 
 class NonConvergence(EhAoiError):
     """A solver ended above tolerance or found no unique solution."""
+
+    exit_code = 4
+    label = "non-convergence"
 
 
 class OutOfRegime(EhAoiError):
@@ -45,10 +52,12 @@ class TargetRateTooLow(EhAoiError):
 class IterationBudgetExceeded(EhAoiError):
     """Alternating optimization did not settle within the iteration cap."""
 
-
-class EmptyRealization(EhAoiError):
-    """A Poisson draw produced zero links on the simulation window."""
+    exit_code = 4
+    label = "non-convergence"
 
 
 class BadConfig(EhAoiError):
     """Experiment specification is malformed or inconsistent."""
+
+    exit_code = 2
+    label = "bad-config"

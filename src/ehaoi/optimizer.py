@@ -20,6 +20,10 @@ from .aoi import NetworkConfig, PhyConfig, network_aoi_large_buffer, omega
 from .errors import IterationBudgetExceeded, SaturatedAccess
 from .fbl import CodingConfig, effective_threshold_approx, effective_threshold_exact
 
+_TOL = 1e-6  # the ESR search stops when the objective moves less than this
+_MAX_ITER = 50  # ESR half-steps before IterationBudgetExceeded
+_N_UPPER = 200  # longest codeword the ECR scan tries, however large the buffer
+
 __all__ = [
     "OptimumResult",
     "EsrResult",
@@ -145,8 +149,6 @@ def _esr_objective(phy: PhyConfig, net: NetworkConfig, eta: float, n: int) -> fl
 def esr_search(
     phy_base: PhyConfig,
     net_base: NetworkConfig,
-    tol: float = 1e-6,
-    max_iter: int = 50,
     exact_threshold: bool = True,
 ) -> EsrResult:
     """Alternating (eta, N) optimization in the energy-sufficient regime.
@@ -154,7 +156,7 @@ def esr_search(
     Each half-step solves its one-dimensional subproblem exactly (update
     rate by bisection with the xi/N clamp, codeword length by the floor
     rule, at most the buffer size B) with the decoding threshold retuned to
-    the current N.  Stops when the objective moves less than ``tol``.
+    the current N.  Stops when the objective moves less than _TOL.
     """
     xi = net_base.xi
     n = 1
@@ -163,7 +165,7 @@ def esr_search(
     prev = math.inf
     # each half-step (rate update, then codeword update) counts as one
     # iteration, mirroring the alternating scheme's own bookkeeping
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         if it % 2 == 1:
             phy_n = phy_base.with_theta(_theta_for(phy_base, n, exact_threshold))
             om = omega(phy_n.theta, phy_n.alpha)
@@ -175,30 +177,29 @@ def esr_search(
             phy_n = phy_base.with_theta(_theta_for(phy_base, n, exact_threshold))
         aoi = _esr_objective(phy_n, net_base, eta, n)
         trace.append((it, eta, n, aoi))
-        if abs(aoi - prev) < tol:
+        if abs(aoi - prev) < _TOL:
             return EsrResult(aoi=aoi, eta=eta, n_units=n, trace=tuple(trace))
         prev = aoi
-    raise IterationBudgetExceeded(f"energy-sufficient search open after {max_iter} iterations")
+    raise IterationBudgetExceeded(f"energy-sufficient search open after {_MAX_ITER} iterations")
 
 
 def ecr_search(
     phy_base: PhyConfig,
     net_base: NetworkConfig,
-    n_upper: int = 200,
     exact_threshold: bool = True,
 ) -> EcrResult:
     """Forward scan over N at eta = 1 in the energy-constrained regime.
 
     The greedy objective either increases monotonically or has a single
     minimum, so the scan stops at the first increase.  A codeword cannot
-    need more units than the buffer holds, so N stops at min(n_upper, B);
+    need more units than the buffer holds, so N stops at min(_N_UPPER, B);
     if no increase is seen by then, the best value found is returned with
     ``hit_upper`` set.
     """
     best_aoi = math.inf
     best_n = 1
     trace: list[tuple[int, float, int, float]] = []
-    for n in range(1, min(n_upper, net_base.B) + 1):
+    for n in range(1, min(_N_UPPER, net_base.B) + 1):
         phy_n = phy_base.with_theta(_theta_for(phy_base, n, exact_threshold))
         probe = NetworkConfig(
             density=net_base.density, N=n, B=net_base.B, xi=net_base.xi, eta=1.0
@@ -216,17 +217,10 @@ def ecr_search(
     return EcrResult(aoi=best_aoi, n_units=best_n, hit_upper=True, trace=tuple(trace))
 
 
-def optimize(
-    phy_base: PhyConfig,
-    net_base: NetworkConfig,
-    tol: float = 1e-6,
-    max_iter: int = 50,
-    n_upper: int = 200,
-    exact_threshold: bool = True,
-) -> OptimumResult:
+def optimize(phy_base: PhyConfig, net_base: NetworkConfig) -> OptimumResult:
     """Best (eta, N) over both regimes; ties go to the energy-sufficient one."""
-    esr = esr_search(phy_base, net_base, tol=tol, max_iter=max_iter, exact_threshold=exact_threshold)
-    ecr = ecr_search(phy_base, net_base, n_upper=n_upper, exact_threshold=exact_threshold)
+    esr = esr_search(phy_base, net_base)
+    ecr = ecr_search(phy_base, net_base)
     if esr.aoi <= ecr.aoi:
         return OptimumResult(
             aoi_star=esr.aoi, eta_star=esr.eta, n_star=esr.n_units,

@@ -36,7 +36,7 @@ import numpy as np
 
 from .aoi import NetworkConfig, PhyConfig
 from .energy_chain import EnergyChainConfig
-from .errors import EmptyRealization, require_finite
+from .errors import require_finite
 
 __all__ = [
     "BernoulliArrivals",
@@ -148,19 +148,14 @@ class Topology:
         delta = np.minimum(delta, self.side - delta)
         return np.hypot(delta[..., 0], delta[..., 1])
 
-    def plane_distances(self) -> np.ndarray:
-        delta = self.sources[:, None, :] - self.receivers[None, :, :]
-        return np.hypot(delta[..., 0], delta[..., 1])
-
 
 @dataclass(frozen=True)
 class SimConfig:
     """Monte Carlo run shape.
 
-    warmup None picks 10 max(N/xi, 1/eta) slots, several multiples of the
-    slowest natural timescale.  census trims statistics collection to the
-    central fraction of the area (useful with boundary="plane"; the default
-    torus needs no trimming).
+    Links live on a wrap-around square of the given side.  warmup None
+    picks 10 max(N/xi, 1/eta) slots, several multiples of the slowest
+    natural timescale.
     """
 
     slots: int
@@ -170,18 +165,12 @@ class SimConfig:
     warmup: int | None = None
     arrivals: ArrivalPattern | None = None
     updates: UpdatePattern | None = None
-    census: float = 1.0
-    boundary: str = "torus"
 
     def __post_init__(self):
         if self.slots <= 0 or self.realizations <= 0:
             raise ValueError("slots and realizations must be positive")
         if self.warmup is not None and not 0 <= self.warmup < self.slots:
             raise ValueError("warmup must lie inside the horizon")
-        if not 0.0 < self.census <= 1.0:
-            raise ValueError("census must be in (0, 1]")
-        if self.boundary not in ("torus", "plane"):
-            raise ValueError("boundary must be 'torus' or 'plane'")
         require_finite("SimConfig", side=self.side)
         if self.side <= 0.0:
             raise ValueError("side must be positive")
@@ -191,14 +180,14 @@ class SimConfig:
 class SimReport:
     """Aggregated Monte Carlo estimates.
 
-    network_aoi averages the per-link time-average age over census links
-    and realizations; ci_halfwidth is the 95% normal interval across
-    realization means.  empirical_mu pools successes over attempts, while
-    empirical_inv_mu averages per-link attempts/successes (the quantity the
-    reciprocal-moment formula predicts).  occupancy is the post-warmup
-    buffer-level frequency over all nodes and slots.  links holds the link
-    count of each realization, and activity the share of links (all of
-    them, not only census links) active in a measured slot.
+    network_aoi averages the per-link time-average age over the links of
+    each realization, then over realizations; ci_halfwidth is the 95%
+    normal interval across realization means.  empirical_mu pools
+    successes over attempts, while empirical_inv_mu averages per-link
+    attempts/successes (the quantity the reciprocal-moment formula
+    predicts).  occupancy is the post-warmup buffer-level frequency over
+    all nodes and slots.  links holds the link count of each realization,
+    and activity the share of links active in a measured slot.
     """
 
     network_aoi: float
@@ -220,23 +209,17 @@ def sample_topology(
     side: float,
     r: float,
     rng: np.random.Generator,
-    resample: bool = False,
 ) -> Topology:
     """Poisson(density side^2) sources, each receiver at distance r, wrapped.
 
-    Raises EmptyRealization when the Poisson draw is zero, unless
-    ``resample`` asks for redraws.
+    A draw of zero links is redrawn.  The expected count is at least one,
+    so a draw comes up empty with probability at most 1/e.
     """
     if density * side**2 < 1.0:
         raise ValueError("expected node count below one; enlarge side or density")
-    for _ in range(1000):
+    n = 0
+    while n == 0:
         n = int(rng.poisson(density * side**2))
-        if n > 0:
-            break
-        if not resample:
-            raise EmptyRealization("Poisson draw produced zero links")
-    else:
-        raise EmptyRealization("Poisson draw produced zero links in 1000 retries")
     sources = rng.random((n, 2)) * side
     angles = rng.random(n) * 2.0 * math.pi
     offsets = np.column_stack((np.cos(angles), np.sin(angles))) * r
@@ -263,15 +246,14 @@ class LinkSimulation:
     """
 
     def __init__(self, topology: Topology, phy: PhyConfig, chain: EnergyChainConfig,
-                 arrivals: ArrivalPattern, updates: UpdatePattern, rng: np.random.Generator,
-                 boundary: str = "torus"):
+                 arrivals: ArrivalPattern, updates: UpdatePattern, rng: np.random.Generator):
         self.rng = rng
         self.n = topology.n_links
         self.N, self.B = chain.N, chain.B
         self.theta, self.eps = phy.theta, phy.eps
         self.noise = 0.0 if math.isinf(phy.tx_snr) else 1.0 / phy.tx_snr
-        dist = topology.torus_distances() if boundary == "torus" else topology.plane_distances()
-        self.pathloss = dist ** (-phy.alpha)
+        with np.errstate(divide="ignore"):  # a source on a receiver: infinite path loss
+            self.pathloss = topology.torus_distances() ** (-phy.alpha)
         self.arrivals, self.updates = arrivals, updates
         self.kappa = np.zeros(self.n, dtype=np.int64)  # buffers start empty
         self.aoi = np.zeros(self.n, dtype=np.int64)
@@ -321,14 +303,6 @@ class LinkSimulation:
         return idx, success, arr
 
 
-def _census_mask(topology: Topology, census: float) -> np.ndarray:
-    if census >= 1.0:
-        return np.ones(topology.n_links, dtype=bool)
-    half = 0.5 * topology.side * math.sqrt(census)
-    centered = np.abs(topology.receivers - 0.5 * topology.side)
-    return (centered[:, 0] <= half) & (centered[:, 1] <= half)
-
-
 def _default_warmup(chain: EnergyChainConfig, updates: UpdatePattern) -> int:
     eta_eff = updates.eta if isinstance(updates, BernoulliUpdates) else 1.0 / updates.period
     return int(math.ceil(10.0 * max(chain.N / chain.xi, 1.0 / eta_eff)))
@@ -348,14 +322,12 @@ class _Realization:
         seq = np.random.SeedSequence(entropy=sim.seed, spawn_key=(ridx,))
         rng = np.random.Generator(np.random.Philox(key=seq.generate_state(2, np.uint64)))
         if topology is None:
-            topology = sample_topology(net.density, sim.side, phy.r, rng, resample=True)
+            topology = sample_topology(net.density, sim.side, phy.r, rng)
         self.arr_rng, self.act_rng, self.coin_rng = (
             np.random.Generator(np.random.Philox(child)) for child in seq.spawn(3))
         # the periodic phase and the Markov start come from the arrivals substream
-        self.link = LinkSimulation(topology, phy, net.chain, arrivals, updates, self.arr_rng,
-                                   boundary=sim.boundary)
+        self.link = LinkSimulation(topology, phy, net.chain, arrivals, updates, self.arr_rng)
         n = self.n = topology.n_links
-        self.mask = _census_mask(topology, sim.census)
         self.aoi_sum, self.attempts, self.successes = (np.zeros(n, dtype=np.int64) for _ in range(3))
         self.last_success = np.zeros(n, dtype=np.int64)  # so ages start at 1
         self.last_attempt = np.full(n, -1, dtype=np.int64)  # last measured attempt
@@ -475,10 +447,10 @@ def run(sim: SimConfig, phy: PhyConfig, net: NetworkConfig,
             r.absorb(t0, active[:, lo:hi], warmup)
 
     measured = sim.slots - warmup
-    per_link = [r.aoi_sum[r.mask] / measured for r in reals]
+    per_link = [r.aoi_sum / measured for r in reals]
     means = np.array([p.mean() for p in per_link])
-    attempts = np.concatenate([r.attempts[r.mask] for r in reals])
-    successes = np.concatenate([r.successes[r.mask] for r in reals])
+    attempts = np.concatenate([r.attempts for r in reals])
+    successes = np.concatenate([r.successes for r in reals])
     delivered = successes > 0
     inv_mu = float(np.mean(attempts[delivered] / successes[delivered])) if delivered.any() else math.inf
     count, total, squares = (sum(column) for column in zip(*(r.gaps for r in reals)))

@@ -154,15 +154,19 @@ def test_optimize_keeps_codewords_within_the_buffer(tmp_path):
 def test_main_exit_codes(tmp_path, capsys):
     # io: missing file
     assert main(["--spec", str(tmp_path / "nope.json")]) == 5
+    assert capsys.readouterr().err.startswith("io: ")
     # bad-config: malformed json
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["--spec", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("bad-config: ")
     # bad-config: unknown kind
     assert main(["--spec", str(write_spec(tmp_path, {"kind": "mystery"}, "k.json"))]) == 2
+    assert capsys.readouterr().err.startswith("bad-config: ")
     # bad-config: missing section
     doc = {"kind": "aoi_curve", "params": {}, "sweep": {"name": "B", "values": [2]}}
     assert main(["--spec", str(write_spec(tmp_path, doc, "m.json"))]) == 2
+    assert capsys.readouterr().err.startswith("bad-config: ")
     # out-of-regime: saturated access (xi = eta = 1, N = 1 under interference)
     doc = {
         "kind": "aoi_curve",
@@ -174,7 +178,67 @@ def test_main_exit_codes(tmp_path, capsys):
     }
     assert main(["--spec", str(write_spec(tmp_path, doc, "s.json")), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert "out-of-regime:" in err
+    assert err.startswith("out-of-regime: ")
+
+
+def test_steady_state_without_mixing_is_non_convergence(tmp_path, capsys):
+    # N = 1 with xi = eta = 1: each slot spends one unit and harvests one, so
+    # every level from 1 up is absorbing and the dense solve is singular
+    doc = {"name": "frozen", "kind": "steady_state",
+           "params": {"net": {"density": 0.01, "N": 1, "B": 4, "xi": 1.0, "eta": 1.0}}}
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 4
+    assert capsys.readouterr().err.startswith("non-convergence: ")
+    assert not list(out.glob("*.csv"))
+
+
+SIM_SPEC = {
+    "name": "keys",
+    "kind": "aoi_curve",
+    "params": {"phy": {"alpha": 3.8, "r": 3.0, "snr_db": 13.0, "eps": 1e-6, "theta": 1.3},
+               "net": {"density": 0.01, "N": 2, "B": 30, "xi": 0.5, "eta": 0.3},
+               "sim": {"slots": 400, "realizations": 1, "side": 40.0,
+                       "arrivals": {"type": "binomial", "e_max": 4, "p": 0.1}}},
+    "sweep": {"name": "B", "values": [30]},
+}
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("sim", "census", 0.25),
+    ("sim", "boundary", "plane"),
+    ("net", "desnity", 0.02),
+    ("phy", "snr", 13.0),
+    ("sim.arrivals", "xi", 0.5),
+], ids=["census", "boundary", "net-typo", "phy-typo", "pattern-field"])
+def test_unknown_spec_key_is_bad_config(tmp_path, capsys, section, key, value):
+    doc = json.loads(json.dumps(SIM_SPEC))
+    target = doc["params"]
+    for part in section.split("."):
+        target = target[part]
+    target[key] = value
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"bad-config: {section} has unknown key {key!r}")
+    assert not list(out.glob("*.csv"))
+
+
+def test_known_spec_keys_run(tmp_path):
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, SIM_SPEC)), "--out", str(out), "--quiet"]) == 0
+    assert (out / "keys.csv").exists()
+
+
+@pytest.mark.parametrize("formula", ["small_buffer", "greedy", "mystery"])
+def test_unknown_formula_is_bad_config(tmp_path, capsys, formula):
+    doc = json.loads(json.dumps(SIM_SPEC))
+    del doc["params"]["sim"]
+    doc["params"]["formula"] = formula
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad-config: ") and "'general' or 'large_buffer'" in err
+    assert not list(out.glob("*.csv"))
 
 
 def test_nan_density_is_bad_config(tmp_path, capsys):

@@ -113,8 +113,8 @@ def test_ecr_search_prefers_longer_codewords_when_dense():
 
 
 def test_ecr_search_flags_exhausted_upper_bound():
-    net = NetworkConfig(density=0.05, N=1, B=100, xi=0.5, eta=1.0)
-    res = ecr_search(PHY20, net, n_upper=2)
+    net = NetworkConfig(density=0.05, N=1, B=2, xi=0.5, eta=1.0)
+    res = ecr_search(PHY20, net)
     assert res.hit_upper
     assert res.n_units == 2
 
@@ -144,7 +144,7 @@ def test_ecr_search_scans_past_overflowing_success_moment():
     # at density 50 the success moment of N = 1, 2 overflows a float; the
     # scan scores those lengths as saturated and goes on to longer codewords
     net = NetworkConfig(density=50.0, N=1, B=300, xi=0.5, eta=1.0)
-    res = ecr_search(PHY20, net, n_upper=10)
+    res = ecr_search(PHY20, net)
     assert [pt[3] for pt in res.trace[:2]] == [math.inf, math.inf]
     assert math.isfinite(res.aoi) and res.n_units > 2
 
