@@ -100,8 +100,15 @@ def _integer(key: str, value: Any) -> int:
     return int(value)
 
 
-def _known(section: str, doc: dict, keys: tuple[str, ...]) -> None:
-    """Refuse a key of ``doc`` outside ``keys``, which would otherwise be ignored."""
+def _object(section: str, doc: Any) -> None:
+    """Refuse a spec section that is not a JSON object."""
+    if not isinstance(doc, dict):
+        raise BadConfig(f"{section} must be a JSON object")
+
+
+def _known(section: str, doc: Any, keys: tuple[str, ...]) -> None:
+    """Refuse a non-object ``doc``, or a key of it outside ``keys``, which would otherwise be ignored."""
+    _object(section, doc)
     unknown = sorted(set(doc) - set(keys))
     if unknown:
         raise BadConfig(f"{section} has unknown key {unknown[0]!r}; known keys: {', '.join(keys)}")
@@ -172,6 +179,7 @@ def _pattern_from(doc: dict | None, patterns: dict, key: str):
     """The pattern its ``type`` names, each field read from the key of its name."""
     if doc is None:
         return None
+    _object(key, doc)
     cls = patterns.get(doc.get("type"))
     if cls is None:
         raise BadConfig(f"unknown {key} pattern {doc.get('type')!r}")
@@ -218,7 +226,7 @@ def _analytic_aoi(net: NetworkConfig, phy: PhyConfig, formula: str) -> float:
 
 def _run_steady_state(spec: ExperimentSpec, seed_override):
     cfg = _net_from_params(spec.params).chain
-    # the closed_form column is the exact cut recursion, numeric the dense oracle
+    # the closed_form column is the exact cut recursion, numeric the Hessenberg oracle
     exact = steady_state(cfg)
     numeric = solve_steady_numeric(build_transition_matrix(cfg))
     header = ["level", "closed_form", "numeric", "abs_diff"]

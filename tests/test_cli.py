@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -183,7 +184,7 @@ def test_main_exit_codes(tmp_path, capsys):
 
 def test_steady_state_without_mixing_is_non_convergence(tmp_path, capsys):
     # N = 1 with xi = eta = 1: each slot spends one unit and harvests one, so
-    # every level from 1 up is absorbing and the dense solve is singular
+    # every level from 1 up is absorbing and the balance system is singular
     doc = {"name": "frozen", "kind": "steady_state",
            "params": {"net": {"density": 0.01, "N": 1, "B": 4, "xi": 1.0, "eta": 1.0}}}
     out = tmp_path / "out"
@@ -220,6 +221,21 @@ def test_unknown_spec_key_is_bad_config(tmp_path, capsys, section, key, value):
     assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"bad-config: {section} has unknown key {key!r}")
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("value", [5, [1, 2]], ids=["number", "list"])
+@pytest.mark.parametrize("section", ["phy", "net", "sim", "sim.arrivals", "sim.updates"])
+def test_non_object_spec_section_is_bad_config(tmp_path, capsys, section, value):
+    doc = json.loads(json.dumps(SIM_SPEC))
+    *parents, last = section.split(".")
+    target = doc["params"]
+    for part in parents:
+        target = target[part]
+    target[last] = value
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"bad-config: {section} must be a JSON object\n"
     assert not list(out.glob("*.csv"))
 
 
@@ -286,6 +302,26 @@ def test_cli_loads_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, []]
+
+
+def test_steady_state_does_not_depend_on_blas_threads(tmp_path):
+    # a B = 2500 chain, large enough that a threaded dense solve splits its
+    # work; fresh interpreters, since the BLAS reads its thread count at import
+    doc = {"name": "steady", "kind": "steady_state",
+           "params": {"net": {"density": 0.01, "N": 3, "B": 2500, "xi": 0.6934, "eta": 0.3356}}}
+    spec = write_spec(tmp_path, doc)
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        proc = subprocess.run(
+            [sys.executable, "-m", "ehaoi.cli", "--spec", str(spec), "--out", str(out), "--quiet"],
+            cwd=Path(ehaoi.__file__).parents[1], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        csvs.append((out / "steady.csv").read_bytes())
+    assert csvs[0].count(b"\n") == 2502
+    assert csvs[1] == csvs[0]
 
 
 CURVE_PHY = {"alpha": 3.8, "r": 3.0, "snr_db": 20.0, "eps": 1e-6,

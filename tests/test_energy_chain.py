@@ -32,6 +32,19 @@ def oracle(cfg: EnergyChainConfig) -> np.ndarray:
     return solve_steady_numeric(build_transition_matrix(cfg)).probs
 
 
+def dense_reference(P: np.ndarray) -> np.ndarray:
+    """The bordered dense system: P^T - I, its last row replaced by normalization."""
+    m = P.shape[0]
+    A = P.T - np.eye(m)
+    A[-1, :] = 1.0
+    rhs = np.zeros(m)
+    rhs[-1] = 1.0
+    try:
+        return np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence("singular balance system") from exc
+
+
 # ---------------------------------------------------------------------------
 # transition matrix
 # ---------------------------------------------------------------------------
@@ -334,6 +347,45 @@ def test_infinite_greedy_route():
     ss = steady_infinite_buffer(EnergyChainConfig(N=2, B=10, xi=0.5, eta=1.0))
     assert ss.regime is Regime.GREEDY_ETA1
     assert np.allclose(ss.probs[:3], [0.25, 0.5, 0.25])
+
+
+def _solved_or_none(solve, P):
+    try:
+        return solve(P)
+    except NonConvergence:
+        return None
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 5))
+def test_numeric_matches_dense_reference(n):
+    raised = 0
+    for xi in (0.2, 0.5, 0.8, 1.0):
+        for eta in (0.2, 0.5, 0.8, 1.0):
+            for b in sorted({n, 2 * n - 1, 2 * n, 3 * n + 1, 10 * n, 200 * n}):
+                cfg = EnergyChainConfig(N=n, B=b, xi=xi, eta=eta)
+                P = build_transition_matrix(cfg)
+                got = _solved_or_none(lambda M: solve_steady_numeric(M).probs, P)
+                want = _solved_or_none(dense_reference, P)
+                assert (got is None) == (want is None), cfg
+                if got is None:
+                    raised += 1
+                else:
+                    assert np.max(np.abs(got - want)) <= 1e-12, cfg
+    # only N = 1, xi = eta = 1 with B >= 2 has more than one closed class
+    assert raised == (4 if n == 1 else 0)
+
+
+def test_numeric_refuses_other_matrices():
+    # a jump of two levels up breaks the Hessenberg shape of the balance system
+    P = np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+    with pytest.raises(ValueError, match="skip-free upward"):
+        solve_steady_numeric(P)
+    with pytest.raises(ValueError, match="square"):
+        solve_steady_numeric(np.full((2, 3), 1.0 / 3.0))
+    # N = 1, xi = eta = 1: levels 1 and 2 are both absorbing
+    P = build_transition_matrix(EnergyChainConfig(N=1, B=2, xi=1.0, eta=1.0))
+    with pytest.raises(NonConvergence, match="not unique"):
+        solve_steady_numeric(P)
 
 
 # ---------------------------------------------------------------------------
