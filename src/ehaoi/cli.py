@@ -50,13 +50,15 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, doc: dict, fallback_name: str = "experiment") -> "ExperimentSpec":
-        if not isinstance(doc, dict):
-            raise BadConfig("spec document must be a JSON object")
+        _known("spec document", doc, ("name", "kind", "params", "sweep", "output"))
         kind = doc.get("kind")
         if kind not in _RUNNERS:
             raise BadConfig(f"kind must be one of {tuple(_RUNNERS)}, got {kind!r}")
+        _, param_keys, sweeps = _RUNNERS[kind]
         sweep = None
-        if "sweep" in doc and doc["sweep"] is not None:
+        if doc.get("sweep") is not None:
+            if not sweeps:
+                raise BadConfig(f"kind {kind} reads no 'sweep' section; remove it")
             sw = doc["sweep"]
             try:
                 values = tuple(float(v) for v in sw["values"])
@@ -68,8 +70,7 @@ class ExperimentSpec:
             if any(not np.isfinite(v) for v in values):
                 raise BadConfig("sweep values must be finite")
         params = doc.get("params", {})
-        if not isinstance(params, dict):
-            raise BadConfig("params must be an object")
+        _known("params", params, param_keys)
         return cls(
             name=str(doc.get("name", fallback_name)),
             kind=kind,
@@ -322,9 +323,16 @@ def _run_simulate(spec: ExperimentSpec, seed_override):
     return header, [row], {"seed": sim_cfg.seed}
 
 
-# one runner per kind, each (spec, seed override) -> (header, rows, sidecar extras)
-_RUNNERS = {"steady_state": _run_steady_state, "threshold": _run_threshold,
-            "aoi_curve": _run_curve, "optimize": _run_optimize, "simulate": _run_simulate}
+# kind -> (runner, the params keys it reads, whether it reads a sweep); each
+# runner maps (spec, seed override) to (header, rows, sidecar extras)
+_RUNNERS = {
+    "steady_state": (_run_steady_state, ("net",), False),
+    "threshold": (_run_threshold, ("bits_per_unit", "target_rate", "n_values", "eps_values", "eps"),
+                  False),
+    "aoi_curve": (_run_curve, ("phy", "net", "formula", "sim"), True),
+    "optimize": (_run_optimize, ("phy", "net"), True),
+    "simulate": (_run_simulate, ("phy", "net", "sim"), False),
+}
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path = ".", seed: int | None = None,
@@ -332,7 +340,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path = ".", seed: int | 
     """Execute one experiment spec; returns the written file paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    header, rows, extra = _RUNNERS[spec.kind](spec, seed)
+    header, rows, extra = _RUNNERS[spec.kind][0](spec, seed)
     csv_path = out / (spec.output or f"{spec.name}.csv")
     _write_csv(csv_path, header, rows)
     sidecar = {

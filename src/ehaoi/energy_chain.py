@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import NonConvergence, NotRecurrent, OutOfRegime
+from .errors import NonConvergence, NotRecurrent, OutOfRegime, bisect_increasing
 
 __all__ = [
     "EnergyChainConfig",
@@ -246,9 +246,11 @@ def char_root(n: int, xi: float, eta: float) -> float:
     """Unique non-fixed positive root of the characteristic equation.
 
     Deflates the fixed point z = 1 exactly, then bisects the monotone
-    quotient.  Returns exactly 1.0 on the balance line N eta == xi and
-    exactly 0.0 at eta == 1 (greedy updating drains the interior modes).
-    The root satisfies z < 1 iff N eta > xi.
+    quotient down to adjacent floats.  Returns exactly 1.0 on the balance
+    line N eta == xi and exactly 0.0 at eta == 1 (greedy updating drains
+    the interior modes).  The root satisfies z < 1 iff N eta > xi.  At
+    xi == 1 with N == 1 and eta < 1 the quotient is the constant
+    -(1 - eta), so there is no root and OutOfRegime is raised.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -261,18 +263,12 @@ def char_root(n: int, xi: float, eta: float) -> float:
     if n * eta > xi:
         lo, hi = 0.0, 1.0
     else:
-        lo, hi = 1.0, max(2.0, 2.0 * xi * (1.0 - eta) / (eta * (1.0 - xi)))
+        if xi == 1.0 and n == 1:
+            raise OutOfRegime("char_root: at xi = 1 and N = 1 the deflated quotient has no root")
+        lo, hi = 1.0, 2.0 if xi == 1.0 else max(2.0, 2.0 * xi * (1.0 - eta) / (eta * (1.0 - xi)))
         while _deflated(hi, n, xi, eta) < 0.0:
             hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _deflated(mid, n, xi, eta) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, lo):
-            break
-    return 0.5 * (lo + hi)
+    return bisect_increasing(lambda z: _deflated(z, n, xi, eta), lo, hi)
 
 
 def char_root_approx(n: int, xi: float, eta: float) -> float:

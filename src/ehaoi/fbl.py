@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
-from .errors import NonConvergence, TargetRateTooLow, require_finite
+from .errors import NonConvergence, TargetRateTooLow, bisect_increasing, require_finite
 
 __all__ = [
     "CodingConfig",
@@ -31,6 +31,7 @@ LOG2E = math.log2(math.e)
 MIN_BLOCKLENGTH = 100
 MIN_EPS = 1e-6
 GAMMA_FLOOR = 0.1
+_RESIDUAL_TOL = 1e-12  # the rate at the threshold must land this close to the target
 
 _STANDARD_NORMAL = NormalDist()
 
@@ -123,13 +124,14 @@ def effective_threshold_approx(cfg: CodingConfig) -> float:
     return 2.0**exponent - 1.0
 
 
-def effective_threshold_exact(cfg: CodingConfig, residual_tol: float = 1e-12) -> float:
+def effective_threshold_exact(cfg: CodingConfig) -> float:
     """Unique SINR where max_coding_rate equals the target rate.
 
     Bisection on [0.1, 2 x approx threshold], the branch where the rate is
-    provably increasing.  Raises TargetRateTooLow when the target rate is
-    already met at the bracket floor, which signals an operating point
-    outside the approximation's envelope.
+    provably increasing, down to the two adjacent floats around the
+    crossing.  Raises TargetRateTooLow when the target rate is already met
+    at the bracket floor, which signals an operating point outside the
+    approximation's envelope.
     """
     c, eps, rt = cfg.blocklength, cfg.eps, cfg.target_rate
     lo = GAMMA_FLOOR
@@ -140,17 +142,8 @@ def effective_threshold_exact(cfg: CodingConfig, residual_tol: float = 1e-12) ->
     hi = 2.0 * effective_threshold_approx(cfg)
     while max_coding_rate(hi, c, eps) < rt:
         hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if max_coding_rate(mid, c, eps) < rt:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * hi:
-            break
-    theta = 0.5 * (lo + hi)
-    if abs(max_coding_rate(theta, c, eps) - rt) > residual_tol:
-        raise NonConvergence(
-            f"rate residual {max_coding_rate(theta, c, eps) - rt:.3e} above {residual_tol}"
-        )
+    theta = bisect_increasing(lambda g: max_coding_rate(g, c, eps) - rt, lo, hi)
+    residual = max_coding_rate(theta, c, eps) - rt
+    if abs(residual) > _RESIDUAL_TOL:
+        raise NonConvergence(f"rate residual {residual:.3e} above {_RESIDUAL_TOL}")
     return theta

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .aoi import NetworkConfig, PhyConfig, network_aoi_large_buffer, omega
-from .errors import IterationBudgetExceeded, SaturatedAccess
+from .errors import IterationBudgetExceeded, SaturatedAccess, bisect_increasing
 from .fbl import CodingConfig, effective_threshold_approx, effective_threshold_exact
 
 _TOL = 1e-6  # the ESR search stops when the objective moves less than this
@@ -74,8 +74,9 @@ def optimal_eta_esr(density: float, omega_n: float, r: float, alpha: float) -> f
 
     Solves lambda Omega r^2 eta (1 - 2 eta/alpha) (1 - eta)^(2/alpha) =
     (1 - eta)^2 exactly; the left/right ratio is monotone in eta, so a
-    bisection is enough.  Degenerates to 1 as the interference load
-    lambda Omega r^2 vanishes.
+    bisection down to adjacent floats is enough.  Tends to 1 - 1e-15, the
+    top of the bracket, as the interference load lambda Omega r^2 vanishes,
+    and returns 1 when it is zero.
     """
     c = density * omega_n * r**2
     if c <= 0.0:
@@ -85,16 +86,7 @@ def optimal_eta_esr(density: float, omega_n: float, r: float, alpha: float) -> f
         # f(eta) = eta (1 - 2 eta/alpha) (1-eta)^(2/alpha - 2), increasing
         return eta * (1.0 - 2.0 * eta / alpha) * (1.0 - eta) ** (2.0 / alpha - 2.0) - 1.0 / c
 
-    lo, hi = 1e-15, 1.0 - 1e-15
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if balance(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15:
-            break
-    return 0.5 * (lo + hi)
+    return bisect_increasing(balance, 1e-15, 1.0 - 1e-15)
 
 
 def optimal_eta_esr_cubic(density: float, omega_n: float, r: float, alpha: float) -> float:

@@ -155,7 +155,8 @@ class SimConfig:
 
     Links live on a wrap-around square of the given side.  warmup None
     picks 10 max(N/xi, 1/eta) slots, several multiples of the slowest
-    natural timescale.
+    natural timescale, capped at half the horizon; xi is the mean rate of
+    the arrival pattern in use, and 1/eta the mean update period.
     """
 
     slots: int
@@ -303,9 +304,12 @@ class LinkSimulation:
         return idx, success, arr
 
 
-def _default_warmup(chain: EnergyChainConfig, updates: UpdatePattern) -> int:
+def _default_warmup(n_units: int, arrivals: ArrivalPattern, updates: UpdatePattern, slots: int) -> int:
+    """10 max(N / mean arrival rate, 1 / eta) slots, at most half the horizon."""
     eta_eff = updates.eta if isinstance(updates, BernoulliUpdates) else 1.0 / updates.period
-    return int(math.ceil(10.0 * max(chain.N / chain.xi, 1.0 / eta_eff)))
+    rate = arrivals.mean_rate
+    settle = 10.0 * max(n_units / rate if rate > 0.0 else math.inf, 1.0 / eta_eff)
+    return math.ceil(min(settle, slots // 2))
 
 
 class _Realization:
@@ -436,7 +440,7 @@ def run(sim: SimConfig, phy: PhyConfig, net: NetworkConfig,
     arrivals = sim.arrivals if sim.arrivals is not None else BernoulliArrivals(net.xi)
     updates = sim.updates if sim.updates is not None else BernoulliUpdates(net.eta)
     chain = net.chain
-    warmup = sim.warmup if sim.warmup is not None else min(_default_warmup(chain, updates), sim.slots // 2)
+    warmup = sim.warmup if sim.warmup is not None else _default_warmup(chain.N, arrivals, updates, sim.slots)
     reals = [_Realization(ridx, sim, phy, net, arrivals, updates, topology)
              for ridx in range(sim.realizations)]
     bounds = np.cumsum([0] + [r.n for r in reals])

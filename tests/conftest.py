@@ -6,10 +6,18 @@ moments, quadrature for the interference geometry factor, and golden-section
 minimization for the optimizer.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from ehaoi.energy_chain import SteadyState
+
+
+def straddles_sign_change(g, z: float) -> bool:
+    """z is one of two adjacent floats across which the increasing g turns non-negative."""
+    up, down = math.nextafter(z, math.inf), math.nextafter(z, -math.inf)
+    return g(z) < 0.0 <= g(up) or g(down) < 0.0 <= g(z)
 
 
 def brute_interval_moments(ss: SteadyState, n: int, xi: float, eta: float):

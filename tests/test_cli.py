@@ -239,6 +239,55 @@ def test_non_object_spec_section_is_bad_config(tmp_path, capsys, section, value)
     assert not list(out.glob("*.csv"))
 
 
+SIMULATE_DOC = {
+    "name": "one_point",
+    "kind": "simulate",
+    "params": {"phy": SIM_SPEC["params"]["phy"], "net": SIM_SPEC["params"]["net"],
+               "sim": {"slots": 400, "realizations": 1, "side": 40.0}},
+}
+OPTIMIZE_DOC = {
+    "name": "best",
+    "kind": "optimize",
+    "params": {"phy": {"alpha": 3.8, "r": 3.0, "snr_db": 20.0, "eps": 1e-6,
+                       "target_rate": 0.825, "bits_per_unit": 100},
+               "net": {"density": 0.01, "N": 1, "B": 100, "xi": 0.5, "eta": 0.5}},
+}
+
+
+def _with(doc, edit):
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc, key", [
+    (_with(SIMULATE_DOC, lambda d: d.update(sweep={"name": "B", "values": [10, 30]})), "sweep"),
+    (_with(THRESHOLD_DOC, lambda d: d.update(sweep={"name": "N", "values": [1, 2]})), "sweep"),
+    (_with(STEADY_DOC, lambda d: d.update(swep={"name": "B", "values": [4, 8]})), "swep"),
+    (_with(SIMULATE_DOC, lambda d: d["params"].update(formula="large_buffer")), "formula"),
+    (_with(OPTIMIZE_DOC, lambda d: d["params"].update(sim=SIMULATE_DOC["params"]["sim"])), "sim"),
+    (_with(STEADY_DOC, lambda d: d.update(sweep={"name": "B", "values": [4, 8]})), "sweep"),
+    (_with(THRESHOLD_DOC, lambda d: d["params"].update(eps_value=[1e-2])), "eps_value"),
+], ids=["simulate-sweep", "threshold-sweep", "top-level-typo", "simulate-formula",
+        "optimize-sim", "steady-sweep", "threshold-eps_value"])
+def test_stray_spec_key_is_bad_config(tmp_path, capsys, doc, key):
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad-config: ") and repr(key) in err
+    assert not list(out.glob("*.csv"))
+
+
+def test_arrivals_that_never_come_are_bad_config(tmp_path, capsys):
+    # zero mean arrival rate: the default warmup takes half the horizon and
+    # the run, delivering nothing, is refused rather than written
+    doc = _with(SIMULATE_DOC, lambda d: d["params"]["sim"].update(
+        arrivals={"type": "binomial", "e_max": 4, "p": 0.0}))
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_known_spec_keys_run(tmp_path):
     out = tmp_path / "out"
     assert main(["--spec", str(write_spec(tmp_path, SIM_SPEC)), "--out", str(out), "--quiet"]) == 0

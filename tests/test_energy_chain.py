@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import straddles_sign_change
+from ehaoi import energy_chain
 from ehaoi.energy_chain import (
     EnergyChainConfig,
     Regime,
@@ -205,6 +207,45 @@ def test_char_root_residual_and_sign(n, xi, eta):
         assert z > 1.0
     else:
         assert z == 1.0
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("xi", (0.2, 0.5, 0.8, 0.95))
+def test_char_root_sits_at_the_sign_change_of_the_quotient(n, xi):
+    for eta in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 0.95, 0.999):
+        if n * eta == xi:
+            continue
+        z = char_root(n, xi, eta)
+        assert straddles_sign_change(lambda v: float(energy_chain._deflated(v, n, xi, eta)), z)
+
+
+@pytest.mark.parametrize("n, xi, eta", [(3, 0.8, 0.3), (2, 0.9, 0.2)])
+def test_char_root_evaluates_the_quotient_at_most_70_times(monkeypatch, n, xi, eta):
+    calls = []
+    deflated = energy_chain._deflated
+
+    def counted(*args):
+        calls.append(args)
+        return deflated(*args)
+
+    monkeypatch.setattr(energy_chain, "_deflated", counted)
+    assert char_root(n, xi, eta) >= 0.5
+    assert len(calls) <= 70
+
+
+@pytest.mark.parametrize("n, eta", [(2, 0.3), (5, 0.1), (3, 0.2)])
+def test_char_root_at_full_harvest_lies_above_one(n, eta):
+    # xi = 1 with N eta < 1: g(1) = N eta - 1 < 0 and g grows without bound
+    z = char_root(n, 1.0, eta)
+    assert z > 1.0
+    assert abs(char_poly(z, n, 1.0, eta)) < 1e-12
+    assert straddles_sign_change(lambda v: float(energy_chain._deflated(v, n, 1.0, eta)), z)
+
+
+def test_char_root_at_full_harvest_with_one_unit_has_no_root():
+    # N = 1, xi = 1: the deflated quotient is the constant -(1 - eta)
+    with pytest.raises(OutOfRegime):
+        char_root(1, 1.0, 0.5)
 
 
 def test_char_root_monotone_in_n_eta_xi():

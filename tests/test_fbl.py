@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from ehaoi import fbl
 from ehaoi.errors import TargetRateTooLow
 from ehaoi.fbl import (
     CodingConfig,
@@ -130,3 +131,18 @@ def test_config_validation():
     for rate in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             CodingConfig(k=100, N=1, target_rate=rate, eps=1e-6)
+
+
+@pytest.mark.parametrize("n", [1, 3, 10, 100, 1000])
+@pytest.mark.parametrize("eps", [1e-2, 1e-6])
+def test_threshold_evaluates_the_rate_at_most_60_times(monkeypatch, n, eps):
+    calls = []
+    rate = fbl.max_coding_rate
+
+    def counted(*args):
+        calls.append(args)
+        return rate(*args)
+
+    monkeypatch.setattr(fbl, "max_coding_rate", counted)
+    effective_threshold_exact(CodingConfig(100, n, 0.825, eps))
+    assert len(calls) <= 60

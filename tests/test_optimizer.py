@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import golden_minimize
+from conftest import golden_minimize, straddles_sign_change
 from ehaoi import optimizer
 from ehaoi.aoi import NetworkConfig, PhyConfig, db_to_linear, network_aoi_large_buffer
 from ehaoi.fbl import CodingConfig, effective_threshold_exact
@@ -59,6 +59,18 @@ def test_eta_esr_matches_golden_section(load):
 
     star = golden_minimize(objective, 1e-9, 1.0 - 1e-9)
     assert optimal_eta_esr(density, om, r, alpha) == pytest.approx(star, abs=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.8, 5.0])
+def test_eta_esr_sits_at_the_sign_change_of_the_balance(alpha):
+    for load in (0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 50.0):
+        eta = optimal_eta_esr(load, 1.0, 1.0, alpha)
+        balance = lambda e: e * (1.0 - 2.0 * e / alpha) * (1.0 - e) ** (2.0 / alpha - 2.0) - 1.0 / load
+        assert straddles_sign_change(balance, eta)
+
+
+def test_eta_esr_tends_to_the_bracket_top_at_vanishing_load():
+    assert optimal_eta_esr(1e-30, 1.0, 1.0, 3.8) == 1.0 - 1e-15
 
 
 def test_eta_cubic_close_to_exact_over_envelope():

@@ -183,6 +183,16 @@ PATTERNS = {
 }
 
 
+def test_default_warmup_follows_the_arrival_pattern():
+    # Binomial arrivals at mean rate 10 x 0.01 = 0.1, far below net.xi = 0.9:
+    # 10 max(N / 0.1, 1 / eta) = 200 warmup slots, not the 23 that xi would give
+    net = NetworkConfig(density=0.01, N=2, B=10, xi=0.9, eta=0.5)
+    phy = PhyConfig(alpha=3.8, r=3.0, tx_snr=db_to_linear(30.0), theta=1.3, eps=0.05)
+    sim = SimConfig(slots=1000, realizations=1, seed=2, side=20.0,
+                    arrivals=BinomialArrivals(e_max=10, p=0.01))
+    assert run(sim, phy, net).slots_measured == 800
+
+
 @pytest.mark.parametrize("pattern", sorted(PATTERNS))
 def test_run_does_not_depend_on_chunking(monkeypatch, pattern):
     # each draw kind has its own substream read in slot order, and every
