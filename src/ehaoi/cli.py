@@ -240,6 +240,8 @@ def _run_steady_state(spec: ExperimentSpec, seed_override):
 
 def _run_threshold(spec: ExperimentSpec, seed_override):
     p = spec.params
+    if "eps" in p and "eps_values" in p:
+        raise BadConfig("threshold params hold both 'eps' and 'eps_values'; keep one")
     try:
         k = _integer("bits_per_unit", p["bits_per_unit"])
         target_rate = float(p["target_rate"])

@@ -8,8 +8,10 @@ configuration by one exact route: global balance across each level cut,
 solved downward from the top level.  The paper's closed forms for the
 tractable buffer regimes, the characteristic root of the underlying
 difference equation, and the pivoted Hessenberg elimination of the
-transition matrix's balance system (the independent oracle) are kept as
-results the route is checked against.
+balance system (the independent oracle) are kept as results the route is
+checked against.  The oracle works on the transition matrix held by its
+N+2 bands, since a level gains at most one unit and loses N or N-1 per
+slot, so it too takes O(B N) time and memory.
 """
 
 from __future__ import annotations
@@ -119,95 +121,113 @@ class SteadyState:
 
 
 def build_transition_matrix(cfg: EnergyChainConfig) -> np.ndarray:
-    """Row-stochastic (B+1)x(B+1) one-slot transition matrix.
+    """The row-stochastic one-slot transition matrix P by its bands.
 
-    Levels below N can only gain energy; levels in [N, B-1] mix the four
-    update/arrival outcomes; the full buffer discards arrivals unless the
-    node transmits in the same slot.
+    Returns the (N+2) x (B+1) array ``bands[d, i] = P[i, i + d - N]``:
+    band N+1 is the one-unit gain, band N holding level, and bands 0 and 1
+    the attempts without and with an arrival, which lose N and N-1 units
+    (at N = 1, band 1 is band N).  Levels below N can only gain energy;
+    levels in [N, B-1] mix the four update/arrival outcomes; the full
+    buffer discards arrivals unless the node transmits in the same slot.
+    Entries that would fall outside P are 0.
     """
     n, b, xi, eta = cfg.N, cfg.B, cfg.xi, cfg.eta
-    P = np.zeros((b + 1, b + 1))
-    for i in range(n):
-        P[i, i] += 1.0 - xi
-        P[i, i + 1] += xi
-    for i in range(n, b):
-        P[i, i] += (1.0 - eta) * (1.0 - xi)
-        P[i, i + 1] += (1.0 - eta) * xi
-        P[i, i - n] += eta * (1.0 - xi)
-        P[i, i - n + 1] += eta * xi
-    P[b, b] += 1.0 - eta
-    P[b, b - n] += eta * (1.0 - xi)
-    P[b, b - n + 1] += eta * xi
-    return P
+    bands = np.zeros((n + 2, b + 1))
+    bands[n, :n] += 1.0 - xi
+    bands[n + 1, :n] += xi
+    bands[n, n:b] += (1.0 - eta) * (1.0 - xi)
+    bands[n + 1, n:b] += (1.0 - eta) * xi
+    bands[n, b] += 1.0 - eta
+    bands[0, n:] += eta * (1.0 - xi)
+    bands[1, n:] += eta * xi
+    return bands
 
 
-def solve_steady_numeric(matrix: np.ndarray, tol: float = 1e-12) -> SteadyState:
-    """Stationary vector of a skip-free-upward row-stochastic matrix.
+def solve_steady_numeric(bands: np.ndarray, tol: float = 1e-12) -> SteadyState:
+    """Stationary vector of a skip-free-upward chain held by its bands.
 
-    The matrix must never move up by more than one level per step
-    (``P[i, j] = 0`` for ``j > i + 1``), as the energy buffer gains at most
-    one unit per slot; any other matrix raises ValueError.  The balance
-    system ``(P^T - I) s = 0`` is then upper Hessenberg.  Its level-0 row,
-    which the other rows determine because every column of ``P^T - I``
-    sums to zero, is replaced by the normalization ``sum s = 1``, and the
-    system is solved by Gaussian elimination with partial pivoting that
-    keeps to the Hessenberg shape: at step k only rows k and k+1 hold an
-    entry in column k, so the solve is m - 1 two-row updates, each as long
-    as the band below the diagonal of ``P`` allows, then one back
-    substitution.  O(m^2) time, against O(m^3) for a dense solve, and no
-    BLAS call computes the result, so it does not depend on the thread count.
+    ``bands`` is a (K+2) x m array with ``bands[d, i] = P[i, i + d - K]``
+    for a row-stochastic m x m matrix P that moves up by at most one level
+    and down by at most K levels per step, the layout of
+    :func:`build_transition_matrix`; entries that would fall outside P are
+    ignored.  An array with fewer than two bands, or with a lowest band
+    that lies wholly outside P (K >= m), raises ValueError.
 
-    The result is verified by the residual ||S P - S||_inf <= tol against
-    the full matrix.  An exact zero pivot means the chain has more than
-    one closed class, so the stationary law is not unique; that, a
-    residual above tol, and an entry below -tol raise NonConvergence.
+    The balance system ``(P^T - I) s = 0`` is upper Hessenberg with K
+    bands above the diagonal.  Its level-0 row, which the other rows
+    determine because every column of ``P^T - I`` sums to zero, is
+    replaced by the normalization ``sum s = 1``, and the system is solved
+    by Gaussian elimination with partial pivoting that keeps to the
+    Hessenberg shape: at step k only the carried row and balance row k+1
+    hold an entry in column k.  Right of the band every entry of the
+    carried row is still the normalization's 1 times the same multipliers,
+    so it is held as one scalar, and each row of the triangular factor as
+    its band plus that constant (0 when the balance row pivots).  Back
+    substitution adds the band's products and the constant times a running
+    suffix sum of the solution.  O(m K) time and memory, and no BLAS call,
+    so the result does not depend on the thread count.
+
+    The result is verified by the residual ||s P - s||_inf <= tol, taken
+    from the bands.  An exact zero pivot means the chain has more than one
+    closed class, so the stationary law is not unique; that, a residual
+    above tol, and an entry below -tol raise NonConvergence.
     """
-    P = np.asarray(matrix, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError("transition matrix must be square")
-    m = P.shape[0]
-    # first and last nonzero column of each row (argmax stops at the first True)
-    nonzero = P != 0.0
-    first = nonzero.argmax(axis=1)
-    last = m - 1 - nonzero[:, ::-1].argmax(axis=1)
-    levels = np.arange(m)
-    if np.any(last > levels + 1):
-        raise ValueError("transition matrix must be skip-free upward: P[i, j] = 0 for j > i + 1")
-    # row k+1 of P^T - I is column k+1 of P less e_{k+1}: zero left of
-    # column k, and right of column k + 1 + below
-    below = int(np.max(levels - first))
-    U = np.empty((m, m))  # row k of the triangular factor, from column k on
-    rhs = np.empty(m)
-    row, row_rhs = np.ones(m), 1.0  # the row still to pivot: normalization first
+    bands = np.asarray(bands, dtype=float)
+    if bands.ndim != 2 or not 2 <= bands.shape[0] <= bands.shape[1] + 1:
+        raise ValueError(
+            "bands must be a (K+2) x m array with 0 <= K < m: bands[d, i] = P[i, i + d - K]"
+        )
+    w, m = bands.shape
+    below = w - 2
+    # cols[k, t] = P[k + t, k + 1]: column k+1 of P from row k, which is row
+    # k+1 of P^T - I from column k once its diagonal loses 1; zero past P
+    cols = np.zeros((m, w))
+    for t in range(w):
+        cols[:m - t, t] = bands[below + 1 - t, t:]
+    cols[:, 1] -= 1.0
+    U = np.zeros((m, w))  # row k of the triangular factor, columns k..k+K+1
+    U_tail = np.zeros(m)  # its value in every column right of that band
+    rhs = np.zeros(m)
+    # the row still to pivot, normalization first: columns k..k+K+1 at step
+    # k sit in carried[k:k + w], and every column right of them holds tail
+    carried = np.ones(m + w)
+    tail, row_rhs = 1.0, 1.0
     for k in range(m - 1):
-        end = min(m, k + below + 2)
-        nxt = P[k:end, k + 1].copy()  # row k+1 of P^T - I, columns k..end-1
-        nxt[1] -= 1.0
-        if abs(nxt[0]) > abs(row[k]):
+        row, nxt = carried[k:k + w], cols[k]
+        row[-1] = tail  # column k+K+1 enters the band
+        if abs(nxt[0]) > abs(row[0]):
             # the balance row pivots; the carried row is eliminated against it
-            U[k, k:end] = nxt
-            U[k, end:] = 0.0
-            rhs[k] = 0.0
-            row[k + 1:end] -= row[k] / nxt[0] * nxt[1:]
+            U[k] = nxt
+            row[1:] -= row[0] / nxt[0] * nxt[1:]
         else:
-            if row[k] == 0.0:
+            if row[0] == 0.0:
                 raise NonConvergence("singular balance system: the stationary law is not unique")
-            U[k, k:] = row[k:]
+            U[k] = row
+            U_tail[k] = tail
             rhs[k] = row_rhs
-            factor = -nxt[0] / row[k]
-            row[k + 1:] *= factor
-            row[k + 1:end] += nxt[1:]
+            factor = -nxt[0] / row[0]
+            row[1:] *= factor
+            row[1:] += nxt[1:]
+            tail *= factor
             row_rhs *= factor
-    if row[m - 1] == 0.0:
+    if carried[m - 1] == 0.0:
         raise NonConvergence("singular balance system: the stationary law is not unique")
-    U[m - 1, m - 1] = row[m - 1]
+    U[m - 1, 0] = carried[m - 1]
     rhs[m - 1] = row_rhs
-    s = np.empty(m)
+    s = np.zeros(m + w)  # zero past the last level, so every band slice has w entries
+    suffix = 0.0  # sum of s right of row k's band, s[k + w:]
     for k in range(m - 1, -1, -1):
         # multiply and sum, not a BLAS dot, whose bits move with the thread count
-        s[k] = (rhs[k] - (U[k, k + 1:] * s[k + 1:]).sum()) / U[k, k]
-    residual = float(np.max(np.abs(s @ P - s)))
-    if residual > tol or np.any(s < -tol):
+        s[k] = (rhs[k] - (U[k, 1:] * s[k + 1:k + w]).sum() - U_tail[k] * suffix) / U[k, 0]
+        suffix += s[k + w - 1]
+    s = s[:m]
+    flow = -s  # s P - s, band by band: P[i, i + d - K] moves mass from i to i + d - K
+    for d in range(w):
+        shift = d - below
+        lo, hi = max(0, -shift), min(m, m - shift)
+        flow[lo + shift:hi + shift] += s[lo:hi] * bands[d, lo:hi]
+    residual = float(np.max(np.abs(flow)))
+    if not residual <= tol or np.any(s < -tol):  # a NaN residual fails too
         raise NonConvergence(f"stationary residual {residual:.3e} above tol {tol:.3e}")
     s = np.clip(s, 0.0, None)
     s /= s.sum()

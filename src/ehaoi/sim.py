@@ -57,11 +57,21 @@ _CELLS = 1 << 17  # most slot x link cells per phase A chunk
 _GAIN_CAP = 1024.0  # exp(-1024) is 0.0, so a larger log-gain decides nothing more
 
 
+def _require_probabilities(owner: str, **fields: float) -> None:
+    """Reject fields outside [0, 1], NaN included."""
+    bad = [name for name, value in fields.items() if not 0.0 <= value <= 1.0]
+    if bad:
+        raise ValueError(f"{owner} fields must be probabilities in [0, 1]: {', '.join(bad)}")
+
+
 @dataclass(frozen=True)
 class BernoulliArrivals:
     """One energy unit per slot with probability xi."""
 
     xi: float
+
+    def __post_init__(self):
+        _require_probabilities("BernoulliArrivals", xi=self.xi)
 
     @property
     def mean_rate(self) -> float:
@@ -74,6 +84,11 @@ class BinomialArrivals:
 
     e_max: int
     p: float
+
+    def __post_init__(self):
+        if self.e_max < 1:
+            raise ValueError(f"BinomialArrivals e_max must be >= 1, got {self.e_max}")
+        _require_probabilities("BinomialArrivals", p=self.p)
 
     @property
     def mean_rate(self) -> float:
@@ -93,6 +108,13 @@ class TwoStateMarkovArrivals:
     p_good_to_bad: float
     p_bad_to_good: float
 
+    def __post_init__(self):
+        _require_probabilities("TwoStateMarkovArrivals", xi_good=self.xi_good, xi_bad=self.xi_bad,
+                               p_good_to_bad=self.p_good_to_bad, p_bad_to_good=self.p_bad_to_good)
+        if self.p_good_to_bad + self.p_bad_to_good == 0.0:
+            raise ValueError("TwoStateMarkovArrivals needs p_good_to_bad or p_bad_to_good above 0:"
+                             " a chain that never switches has no stationary split")
+
     @property
     def mean_rate(self) -> float:
         return (
@@ -106,6 +128,9 @@ class BernoulliUpdates:
 
     eta: float
 
+    def __post_init__(self):
+        _require_probabilities("BernoulliUpdates", eta=self.eta)
+
 
 @dataclass(frozen=True)
 class PeriodicUpdates:
@@ -116,6 +141,10 @@ class PeriodicUpdates:
     """
 
     period: int
+
+    def __post_init__(self):
+        if self.period < 1:
+            raise ValueError(f"PeriodicUpdates period must be >= 1, got {self.period}")
 
 
 ArrivalPattern = BernoulliArrivals | BinomialArrivals | TwoStateMarkovArrivals

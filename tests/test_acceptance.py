@@ -405,7 +405,12 @@ def _char_root_band(n, xi, etas):
     return 0.5 * (lo + hi)
 
 
-def _grid_truth(lam, xi, thetas, alpha=3.8, r=3.0, snr=None, eps=1e-6, step=1e-3):
+def _grid_truth(lam, xi, thetas, roots, alpha=3.8, r=3.0, snr=None, eps=1e-6, step=1e-3):
+    """Best (aoi, eta, N) on the eta grid; ``roots`` memoizes the ECR roots by N.
+
+    The roots depend on (N, xi) alone, so one ``roots`` dict serves every
+    density at a given xi.
+    """
     snr = db_to_linear(20.0) if snr is None else snr
     etas = np.arange(step, 1.0 + step / 2, step)
     best = (np.inf, math.nan, 0)
@@ -422,7 +427,9 @@ def _grid_truth(lam, xi, thetas, alpha=3.8, r=3.0, snr=None, eps=1e-6, step=1e-3
             )
         if (~esr).any() and xi / n < 1.0:
             e = etas[~esr]
-            z = _char_root_band(n, xi, e)
+            if n not in roots:
+                roots[n] = _char_root_band(n, xi, e)
+            z = roots[n]
             sa = np.exp(noise + lam * om * r * r * (xi / n) / (1 - xi / n) ** (1 - 2 / alpha)) * n / (xi * (1 - eps))
             with np.errstate(divide="ignore", invalid="ignore"):
                 zeta = -z / (xi * (1 - z)) + z / (n * e * (1 - z)) + 1 / e - 1
@@ -441,12 +448,13 @@ def test_criterion_08_optimizer_vs_grid():
     worst_rel = 0.0
     for xi in (0.25, 0.5, 0.75, 1.0):
         stars = []
+        roots = {}
         for lam in (0.001, 0.01, 0.05):
             phy = PhyConfig(alpha=3.8, r=3.0, tx_snr=db_to_linear(20.0), theta=thetas[0],
                             eps=1e-6, target_rate=R_T, bits_per_unit=K_BITS)
             net = NetworkConfig(density=lam, N=1, B=100, xi=xi, eta=min(xi, 1.0))
             found = optimize(phy, net)
-            truth = _grid_truth(lam, xi, thetas)
+            truth = _grid_truth(lam, xi, thetas, roots)
             rel = abs(found.aoi_star - truth[0]) / truth[0]
             worst_rel = max(worst_rel, rel)
             if rel > 0.02:

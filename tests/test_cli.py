@@ -268,8 +268,9 @@ def _with(doc, edit):
     (_with(OPTIMIZE_DOC, lambda d: d["params"].update(sim=SIMULATE_DOC["params"]["sim"])), "sim"),
     (_with(STEADY_DOC, lambda d: d.update(sweep={"name": "B", "values": [4, 8]})), "sweep"),
     (_with(THRESHOLD_DOC, lambda d: d["params"].update(eps_value=[1e-2])), "eps_value"),
+    (_with(THRESHOLD_DOC, lambda d: d["params"].update(eps=1e-3)), "eps"),
 ], ids=["simulate-sweep", "threshold-sweep", "top-level-typo", "simulate-formula",
-        "optimize-sim", "steady-sweep", "threshold-eps_value"])
+        "optimize-sim", "steady-sweep", "threshold-eps_value", "threshold-eps-and-eps_values"])
 def test_stray_spec_key_is_bad_config(tmp_path, capsys, doc, key):
     out = tmp_path / "out"
     assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
@@ -286,6 +287,29 @@ def test_arrivals_that_never_come_are_bad_config(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+MARKOV = {"type": "markov", "xi_good": 0.8, "xi_bad": 0.2, "p_good_to_bad": 0.1, "p_bad_to_good": 0.1}
+
+
+@pytest.mark.parametrize("section, pattern, named", [
+    ("arrivals", {**MARKOV, "p_good_to_bad": 0.0, "p_bad_to_good": 0.0}, "never switches"),
+    ("arrivals", {**MARKOV, "xi_good": 1.2}, "xi_good"),
+    ("arrivals", {**MARKOV, "p_bad_to_good": -0.1}, "p_bad_to_good"),
+    ("arrivals", {"type": "binomial", "e_max": 0, "p": 0.1}, "e_max must be >= 1"),
+    ("arrivals", {"type": "binomial", "e_max": 4, "p": 1.5}, "probabilities in [0, 1]: p"),
+    ("arrivals", {"type": "bernoulli", "xi": 2.0}, "probabilities in [0, 1]: xi"),
+    ("updates", {"type": "periodic", "period": 0}, "period must be >= 1"),
+    ("updates", {"type": "bernoulli", "eta": -0.5}, "probabilities in [0, 1]: eta"),
+], ids=["markov-frozen", "markov-xi", "markov-p", "binomial-e_max", "binomial-p", "bernoulli-xi",
+        "periodic-zero", "bernoulli-eta"])
+def test_out_of_range_pattern_field_is_bad_config(tmp_path, capsys, section, pattern, named):
+    doc = _with(SIMULATE_DOC, lambda d: d["params"]["sim"].update({section: pattern}))
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad-config: ") and named in err
+    assert not list(out.glob("*.csv"))
 
 
 def test_known_spec_keys_run(tmp_path):
@@ -354,8 +378,8 @@ def test_cli_loads_no_scipy(tmp_path):
 
 
 def test_steady_state_does_not_depend_on_blas_threads(tmp_path):
-    # a B = 2500 chain, large enough that a threaded dense solve splits its
-    # work; fresh interpreters, since the BLAS reads its thread count at import
+    # a B = 2500 chain, large enough that a threaded BLAS call would split
+    # its work; fresh interpreters, since the BLAS reads its thread count at import
     doc = {"name": "steady", "kind": "steady_state",
            "params": {"net": {"density": 0.01, "N": 3, "B": 2500, "xi": 0.6934, "eta": 0.3356}}}
     spec = write_spec(tmp_path, doc)

@@ -1,6 +1,7 @@
 """Energy buffer chain: transition structure, closed forms vs the oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,17 @@ def oracle(cfg: EnergyChainConfig) -> np.ndarray:
     return solve_steady_numeric(build_transition_matrix(cfg)).probs
 
 
+def dense_view(bands: np.ndarray) -> np.ndarray:
+    """The m x m matrix P that ``bands[d, i] = P[i, i + d - K]`` holds, K = len(bands) - 2."""
+    w, m = bands.shape
+    P = np.zeros((m, m))
+    for d in range(w):
+        shift = d - (w - 2)
+        rows = np.arange(max(0, -shift), min(m, m - shift))
+        P[rows, rows + shift] = bands[d, rows]
+    return P
+
+
 def dense_reference(P: np.ndarray) -> np.ndarray:
     """The bordered dense system: P^T - I, its last row replaced by normalization."""
     m = P.shape[0]
@@ -53,13 +65,13 @@ def dense_reference(P: np.ndarray) -> np.ndarray:
 
 def test_transition_full_buffer_tx_no_arrival():
     cfg = EnergyChainConfig(N=2, B=4, xi=0.3, eta=0.7)
-    P = build_transition_matrix(cfg)
+    P = dense_view(build_transition_matrix(cfg))
     # from an interior level, transmit with no arrival drops N units
     assert P[3, 1] == pytest.approx(cfg.eta * (1 - cfg.xi), abs=1e-15)
 
 
 def test_transition_n1_b1_rows():
-    P = build_transition_matrix(EnergyChainConfig(N=1, B=1, xi=0.5, eta=0.5))
+    P = dense_view(build_transition_matrix(EnergyChainConfig(N=1, B=1, xi=0.5, eta=0.5)))
     assert np.allclose(P[0], [0.5, 0.5])
     assert np.allclose(P[1], [0.25, 0.75])
 
@@ -68,7 +80,7 @@ def test_transition_n1_b1_rows():
 @pytest.mark.parametrize("xi", XI_GRID)
 @pytest.mark.parametrize("eta", (0.2, 0.8, 1.0))
 def test_rows_sum_to_one(n, b, xi, eta):
-    P = build_transition_matrix(EnergyChainConfig(N=n, B=b, xi=xi, eta=eta))
+    P = dense_view(build_transition_matrix(EnergyChainConfig(N=n, B=b, xi=xi, eta=eta)))
     assert np.allclose(P.sum(axis=1), 1.0, atol=1e-14)
     assert np.all(P >= 0.0)
 
@@ -86,8 +98,9 @@ def test_numeric_matches_greedy_case():
 
 def test_numeric_residual_and_mass():
     for (n, b, xi, eta) in [(1, 4, 0.3, 0.6), (3, 11, 0.7, 0.4), (2, 9, 0.2, 0.9)]:
-        P = build_transition_matrix(EnergyChainConfig(N=n, B=b, xi=xi, eta=eta))
-        ss = solve_steady_numeric(P, tol=1e-12)
+        bands = build_transition_matrix(EnergyChainConfig(N=n, B=b, xi=xi, eta=eta))
+        ss = solve_steady_numeric(bands, tol=1e-12)
+        P = dense_view(bands)
         assert ss.probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(ss.probs @ P - ss.probs)) <= 1e-12
 
@@ -404,9 +417,9 @@ def test_numeric_matches_dense_reference(n):
         for eta in (0.2, 0.5, 0.8, 1.0):
             for b in sorted({n, 2 * n - 1, 2 * n, 3 * n + 1, 10 * n, 200 * n}):
                 cfg = EnergyChainConfig(N=n, B=b, xi=xi, eta=eta)
-                P = build_transition_matrix(cfg)
-                got = _solved_or_none(lambda M: solve_steady_numeric(M).probs, P)
-                want = _solved_or_none(dense_reference, P)
+                bands = build_transition_matrix(cfg)
+                got = _solved_or_none(lambda M: solve_steady_numeric(M).probs, bands)
+                want = _solved_or_none(dense_reference, dense_view(bands))
                 assert (got is None) == (want is None), cfg
                 if got is None:
                     raised += 1
@@ -417,16 +430,36 @@ def test_numeric_matches_dense_reference(n):
 
 
 def test_numeric_refuses_other_matrices():
-    # a jump of two levels up breaks the Hessenberg shape of the balance system
-    P = np.array([[0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
-    with pytest.raises(ValueError, match="skip-free upward"):
-        solve_steady_numeric(P)
-    with pytest.raises(ValueError, match="square"):
-        solve_steady_numeric(np.full((2, 3), 1.0 / 3.0))
+    # the bands of a 3-level matrix: one (K = -1) is too few to hold the
+    # diagonal and the step up, and five (K = 3) put the lowest band wholly
+    # outside the matrix
+    bands = build_transition_matrix(EnergyChainConfig(N=2, B=2, xi=0.5, eta=0.5))
+    for wrong in (bands[:1], np.vstack([np.zeros(3), bands])):
+        with pytest.raises(ValueError, match="bands must be"):
+            solve_steady_numeric(wrong)
+    with pytest.raises(ValueError, match="bands must be"):
+        solve_steady_numeric(bands[0])
     # N = 1, xi = eta = 1: levels 1 and 2 are both absorbing
-    P = build_transition_matrix(EnergyChainConfig(N=1, B=2, xi=1.0, eta=1.0))
+    bands = build_transition_matrix(EnergyChainConfig(N=1, B=2, xi=1.0, eta=1.0))
     with pytest.raises(NonConvergence, match="not unique"):
-        solve_steady_numeric(P)
+        solve_steady_numeric(bands)
+    # a NaN entry spreads through the solution, and its residual is NaN
+    bands = build_transition_matrix(EnergyChainConfig(N=2, B=6, xi=0.5, eta=0.5))
+    bands[2, 3] = np.nan
+    with pytest.raises(NonConvergence, match="residual nan"):
+        solve_steady_numeric(bands)
+
+
+def test_numeric_memory_is_linear_in_the_buffer():
+    # a dense (B+1)^2 matrix or factor would take 50 MB apiece here
+    cfg = EnergyChainConfig(3, 2500, 0.69, 0.34)
+    tracemalloc.start()
+    try:
+        solve_steady_numeric(build_transition_matrix(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------
