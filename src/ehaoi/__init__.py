@@ -23,7 +23,6 @@ from .aoi import (  # noqa: F401
 )
 from .energy_chain import (  # noqa: F401
     EnergyChainConfig,
-    Regime,
     SteadyState,
     build_transition_matrix,
     prob_energy_sufficient,

@@ -14,7 +14,7 @@ inputs with :func:`db_to_linear` where they enter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .energy_chain import (
     EnergyChainConfig,
@@ -80,9 +80,6 @@ class PhyConfig:
             raise ValueError("r, tx_snr and theta must be positive")
         if not 0.0 <= self.eps < 1.0:
             raise ValueError("eps must be in [0, 1)")
-
-    def with_theta(self, theta: float) -> "PhyConfig":
-        return replace(self, theta=theta)
 
     @property
     def noise_exponent(self) -> float:

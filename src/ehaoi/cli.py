@@ -20,8 +20,6 @@ import sys
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from . import __version__
 from .aoi import NetworkConfig, PhyConfig, db_to_linear, network_aoi_general, network_aoi_large_buffer
 from .energy_chain import build_transition_matrix, solve_steady_numeric, steady_state
@@ -67,7 +65,7 @@ class ExperimentSpec:
                 raise BadConfig(f"malformed sweep section: {exc}") from exc
             if not values:
                 raise BadConfig("sweep values must be non-empty")
-            if any(not np.isfinite(v) for v in values):
+            if any(not math.isfinite(v) for v in values):
                 raise BadConfig("sweep values must be finite")
         params = doc.get("params", {})
         _known("params", params, param_keys)
@@ -210,7 +208,7 @@ def _sim_from_params(params: dict, seed_override: int | None) -> SimConfig | Non
 
 
 def _set_param(net: NetworkConfig, name: str, value: float) -> NetworkConfig:
-    if name not in ("density", "N", "B", "xi", "eta"):
+    if name not in _NET_KEYS:
         raise BadConfig(f"unknown sweep parameter {name!r}")
     kw = dataclasses.asdict(net)
     kw[name] = _integer(f"sweep value of {name}", value) if name in ("N", "B") else value
@@ -235,7 +233,7 @@ def _run_steady_state(spec: ExperimentSpec, seed_override):
         [i, exact.probs[i], numeric.probs[i], abs(exact.probs[i] - numeric.probs[i])]
         for i in range(cfg.B + 1)
     ]
-    return header, rows, {"regime": exact.regime.value}
+    return header, rows, {}
 
 
 def _run_threshold(spec: ExperimentSpec, seed_override):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -26,7 +25,6 @@ from .errors import NonConvergence, NotRecurrent, OutOfRegime, bisect_increasing
 
 __all__ = [
     "EnergyChainConfig",
-    "Regime",
     "SteadyState",
     "build_transition_matrix",
     "solve_steady_numeric",
@@ -44,18 +42,6 @@ __all__ = [
 
 # Pre-normalization closed-form mass must land this close to 1.
 _MASS_TOL = 1e-9
-
-
-class Regime(Enum):
-    """Which construction produced a stationary distribution."""
-
-    CUT_RECURSION = "cut_recursion"
-    NUMERIC_ORACLE = "numeric_oracle"
-    CLOSED_N1 = "closed_n1"
-    CLOSED_SMALL_BUFFER = "closed_small_buffer"
-    CLOSED_LARGE_BUFFER = "closed_large_buffer"
-    GREEDY_ETA1 = "greedy_eta1"
-    INFINITE_BUFFER = "infinite_buffer"
 
 
 @dataclass(frozen=True)
@@ -95,24 +81,23 @@ class EnergyChainConfig:
 class SteadyState:
     """Stationary distribution over buffer levels 0..B.
 
-    ``probs[i]`` is the long-run probability of holding i units.  For the
-    infinite-buffer regime ``probs`` is a truncation and ``tail_mass`` holds
-    the analytically summed geometric remainder, so that
-    ``probs.sum() + tail_mass == 1``.  ``char_root`` carries the
-    characteristic root z for the regimes that use one.
+    ``probs[i]`` is the long-run probability of holding i units.  For an
+    infinite buffer ``probs`` is a truncation and ``tail_mass`` holds the
+    analytically summed geometric remainder, so that
+    ``probs.sum() + tail_mass == 1``; otherwise ``tail_mass`` is 0.  A
+    negative or NaN entry, or a total mass off 1, raises ValueError.
     """
 
     probs: np.ndarray
-    regime: Regime
-    char_root: float | None = None
     tail_mass: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
-        if np.any(self.probs < -1e-12):
+        # written so that a NaN fails both checks
+        if not np.all(self.probs >= -1e-12):
             raise ValueError("stationary probabilities must be non-negative")
         total = float(self.probs.sum()) + self.tail_mass
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"stationary mass is {total!r}, expected 1")
 
     @property
@@ -231,7 +216,7 @@ def solve_steady_numeric(bands: np.ndarray, tol: float = 1e-12) -> SteadyState:
         raise NonConvergence(f"stationary residual {residual:.3e} above tol {tol:.3e}")
     s = np.clip(s, 0.0, None)
     s /= s.sum()
-    return SteadyState(probs=s, regime=Regime.NUMERIC_ORACLE)
+    return SteadyState(probs=s)
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +292,13 @@ def char_root_approx(n: int, xi: float, eta: float) -> float:
 # Closed-form stationary distributions
 # ---------------------------------------------------------------------------
 
-def _finalize(raw: np.ndarray, regime: Regime, char: float | None = None) -> SteadyState:
+def _finalize(raw: np.ndarray) -> SteadyState:
     total = float(raw.sum())
     if abs(total - 1.0) > _MASS_TOL:
         raise NonConvergence(
             f"closed-form mass {total!r} deviates from 1 beyond {_MASS_TOL}"
         )
-    return SteadyState(probs=raw / total, regime=regime, char_root=char)
+    return SteadyState(probs=raw / total)
 
 
 def steady_closed_n1(cfg: EnergyChainConfig) -> SteadyState:
@@ -336,7 +321,7 @@ def steady_closed_n1(cfg: EnergyChainConfig) -> SteadyState:
         s[0] = (cfg.eta - cfg.xi) / (cfg.eta - cfg.xi * rho**cfg.B)
     for i in range(1, cfg.B + 1):
         s[i] = rho**i / (1.0 - cfg.eta) * s[0]
-    return _finalize(s, Regime.CLOSED_N1, char=rho)
+    return _finalize(s)
 
 
 def steady_closed_small_buffer(cfg: EnergyChainConfig) -> SteadyState:
@@ -375,7 +360,7 @@ def steady_closed_small_buffer(cfg: EnergyChainConfig) -> SteadyState:
         s[n] = phi * ((1.0 + phi) ** (n - 1) - xi) * sb
         for i in range(n + 1, b):
             s[i] = (1.0 + phi) ** (b - i - 1) * phi * sb
-    return _finalize(s, Regime.CLOSED_SMALL_BUFFER)
+    return _finalize(s)
 
 
 def steady_eta_one(cfg: EnergyChainConfig) -> SteadyState:
@@ -391,7 +376,7 @@ def steady_eta_one(cfg: EnergyChainConfig) -> SteadyState:
     for i in range(1, cfg.N):
         s[i] = 1.0 / cfg.N
     s[cfg.N] = cfg.xi / cfg.N
-    return _finalize(s, Regime.GREEDY_ETA1, char=0.0)
+    return _finalize(s)
 
 
 def _geom_ratio_factor(z: float, i: int, xi: float) -> float:
@@ -488,17 +473,17 @@ def steady_closed_large_buffer(cfg: EnergyChainConfig) -> SteadyState:
     s[n:b] = (modes @ x[:k]).real
     s[b] = x[-1].real
     # levels whose mass is below rounding can come out as -1e-16
-    return _finalize(np.maximum(s, 0.0), Regime.CLOSED_LARGE_BUFFER, char=z)
+    return _finalize(np.maximum(s, 0.0))
 
 
-def steady_infinite_buffer(
-    cfg: EnergyChainConfig, truncation: int | None = None
-) -> SteadyState:
+def steady_infinite_buffer(cfg: EnergyChainConfig) -> SteadyState:
     """Excessively large buffer (B -> infinity), recurrent when N eta > xi.
 
-    Returns the parametric distribution truncated at ``truncation`` levels
-    (default: deep enough that the dropped tail is below 1e-12) with the
-    geometric tail mass folded in analytically, so the total mass is exact.
+    Returns the parametric distribution on levels 0..max(2N, min(N + d,
+    100000)), where d is the depth at which z^d falls below 1e-12, with the
+    geometric tail beyond folded in analytically as ``tail_mass``, so the
+    total mass is exact.  At eta = 1 this is the buffer-independent greedy
+    form of :func:`steady_eta_one` on levels 0..max(B, 2N).
     """
     n, xi, eta = cfg.N, cfg.xi, cfg.eta
     if n * eta <= xi:
@@ -508,37 +493,23 @@ def steady_infinite_buffer(
         )
     if eta == 1.0:
         # greedy limit: identical to the buffer-independent eta = 1 form
-        base = steady_eta_one(EnergyChainConfig(n, max(cfg.B, 2 * n), xi, eta))
-        probs = base.probs
-        if truncation is not None:
-            if truncation < 2 * n:
-                raise ValueError("truncation must be at least 2N")
-            probs = np.pad(probs, (0, max(0, truncation + 1 - len(probs))))[: truncation + 1]
-        return SteadyState(probs=probs, regime=Regime.GREEDY_ETA1, char_root=0.0)
+        return steady_eta_one(EnergyChainConfig(n, max(cfg.B, 2 * n), xi, eta))
     z = char_root(n, xi, eta)
-    if truncation is None:
-        depth = math.ceil(math.log(1e-12) / math.log(z)) if z > 0.0 else 0
-        truncation = max(2 * n, min(n + depth, 100_000))
-    elif truncation < 2 * n:
-        raise ValueError("truncation must be at least 2N")
-    s = np.zeros(truncation + 1)
+    depth = math.ceil(math.log(1e-12) / math.log(z)) if z > 0.0 else 0
+    top = max(2 * n, min(n + depth, 100_000))
+    s = np.zeros(top + 1)
     s0 = (1.0 - xi) * (1.0 - z) / n
     for i in range(0, n - 1):
         s[i] = _geom_ratio_factor(z, i, xi) * s0
     s[n - 1] = xi * (1.0 - eta) * (1.0 - z) / (n * eta * z)
     head = xi * (1.0 - z) / (n * eta)
-    for i in range(n, truncation + 1):
+    for i in range(n, top + 1):
         s[i] = head * z ** (i - n)
-    tail = xi * z ** (truncation + 1 - n) / (n * eta)
+    tail = xi * z ** (top + 1 - n) / (n * eta)
     total = float(s.sum()) + tail
     if abs(total - 1.0) > _MASS_TOL:
         raise NonConvergence(f"infinite-buffer mass {total!r} deviates from 1")
-    return SteadyState(
-        probs=s / total,
-        regime=Regime.INFINITE_BUFFER,
-        char_root=z,
-        tail_mass=tail / total,
-    )
+    return SteadyState(probs=s / total, tail_mass=tail / total)
 
 
 def steady_state(cfg: EnergyChainConfig) -> SteadyState:
@@ -573,7 +544,7 @@ def steady_state(cfg: EnergyChainConfig) -> SteadyState:
         if s[c] > 1e100:
             s[c:] = [v * 1e-100 for v in s[c:]]
     probs = np.array(s)
-    return SteadyState(probs=probs / probs.sum(), regime=Regime.CUT_RECURSION)
+    return SteadyState(probs=probs / probs.sum())
 
 
 def prob_energy_sufficient(ss: SteadyState, n: int) -> float:

@@ -11,7 +11,7 @@ increase.  The top-level optimize() runs both and keeps the better regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -26,8 +26,6 @@ _N_UPPER = 200  # longest codeword the ECR scan tries, however large the buffer
 
 __all__ = [
     "OptimumResult",
-    "EsrResult",
-    "EcrResult",
     "optimal_eta_esr",
     "optimal_eta_esr_cubic",
     "clamp_eta_esr",
@@ -39,27 +37,12 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class EsrResult:
-    aoi: float
-    eta: float
-    n_units: int
-    trace: tuple[tuple[int, float, int, float], ...]
-
-
-@dataclass(frozen=True)
-class EcrResult:
-    aoi: float
-    n_units: int
-    hit_upper: bool
-    trace: tuple[tuple[int, float, int, float], ...]
-
-
-@dataclass(frozen=True)
 class OptimumResult:
-    """Joint optimum over both regimes.
+    """Best (eta, N) that one regime's search found, and its AoI.
 
-    ``trace`` collects (iteration, eta, N, aoi) diagnostics from the winning
-    branch.  An ECR winner with n_star >= 2 always carries eta_star = 1.
+    ``regime`` names the search: "ESR" (energy-sufficient) or "ECR"
+    (energy-constrained, whose eta_star is always 1).  ``trace`` collects
+    its (iteration, eta, N, aoi) diagnostics; the ECR scan's iteration is N.
     """
 
     aoi_star: float
@@ -132,17 +115,11 @@ def _exact_threshold(cfg: CodingConfig) -> float:
     return effective_threshold_exact(cfg)
 
 
-def _esr_objective(phy: PhyConfig, net: NetworkConfig, eta: float, n: int) -> float:
-    """Energy-sufficient AoI at (eta, N) with theta already tuned into phy."""
-    probe = NetworkConfig(density=net.density, N=n, B=net.B, xi=net.xi, eta=eta)
-    return network_aoi_large_buffer(probe, phy)
-
-
 def esr_search(
     phy_base: PhyConfig,
     net_base: NetworkConfig,
     exact_threshold: bool = True,
-) -> EsrResult:
+) -> OptimumResult:
     """Alternating (eta, N) optimization in the energy-sufficient regime.
 
     Each half-step solves its one-dimensional subproblem exactly (update
@@ -159,18 +136,20 @@ def esr_search(
     # iteration, mirroring the alternating scheme's own bookkeeping
     for it in range(1, _MAX_ITER + 1):
         if it % 2 == 1:
-            phy_n = phy_base.with_theta(_theta_for(phy_base, n, exact_threshold))
+            phy_n = replace(phy_base, theta=_theta_for(phy_base, n, exact_threshold))
             om = omega(phy_n.theta, phy_n.alpha)
             eta = clamp_eta_esr(
                 optimal_eta_esr(net_base.density, om, phy_n.r, phy_n.alpha), xi, n
             )
         else:
             n = min(optimal_n_esr(xi, eta), net_base.B)
-            phy_n = phy_base.with_theta(_theta_for(phy_base, n, exact_threshold))
-        aoi = _esr_objective(phy_n, net_base, eta, n)
+            phy_n = replace(phy_base, theta=_theta_for(phy_base, n, exact_threshold))
+        probe = NetworkConfig(density=net_base.density, N=n, B=net_base.B, xi=xi, eta=eta)
+        aoi = network_aoi_large_buffer(probe, phy_n)
         trace.append((it, eta, n, aoi))
         if abs(aoi - prev) < _TOL:
-            return EsrResult(aoi=aoi, eta=eta, n_units=n, trace=tuple(trace))
+            return OptimumResult(aoi_star=aoi, eta_star=eta, n_star=n, regime="ESR",
+                                 trace=tuple(trace))
         prev = aoi
     raise IterationBudgetExceeded(f"energy-sufficient search open after {_MAX_ITER} iterations")
 
@@ -179,20 +158,21 @@ def ecr_search(
     phy_base: PhyConfig,
     net_base: NetworkConfig,
     exact_threshold: bool = True,
-) -> EcrResult:
+) -> OptimumResult:
     """Forward scan over N at eta = 1 in the energy-constrained regime.
 
     The greedy objective either increases monotonically or has a single
-    minimum, so the scan stops at the first increase.  A codeword cannot
-    need more units than the buffer holds, so N stops at min(_N_UPPER, B);
-    if no increase is seen by then, the best value found is returned with
-    ``hit_upper`` set.
+    minimum, so the scan stops at the first increase (or at a NaN) and
+    returns the best N before it.  A codeword cannot need more units than
+    the buffer holds, so N stops at min(_N_UPPER, B); if no increase is
+    seen by then, the best value found is returned, and n_star equals that
+    bound.
     """
     best_aoi = math.inf
     best_n = 1
     trace: list[tuple[int, float, int, float]] = []
     for n in range(1, min(_N_UPPER, net_base.B) + 1):
-        phy_n = phy_base.with_theta(_theta_for(phy_base, n, exact_threshold))
+        phy_n = replace(phy_base, theta=_theta_for(phy_base, n, exact_threshold))
         probe = NetworkConfig(
             density=net_base.density, N=n, B=net_base.B, xi=net_base.xi, eta=1.0
         )
@@ -202,23 +182,15 @@ def ecr_search(
             # xi/N = 1 under interference: every node fires every slot
             aoi = math.inf
         trace.append((n, 1.0, n, aoi))
-        if aoi <= best_aoi:
-            best_aoi, best_n = aoi, n
-        else:
-            return EcrResult(aoi=best_aoi, n_units=best_n, hit_upper=False, trace=tuple(trace))
-    return EcrResult(aoi=best_aoi, n_units=best_n, hit_upper=True, trace=tuple(trace))
+        if not aoi <= best_aoi:  # a NaN ends the scan too
+            break
+        best_aoi, best_n = aoi, n
+    return OptimumResult(aoi_star=best_aoi, eta_star=1.0, n_star=best_n, regime="ECR",
+                         trace=tuple(trace))
 
 
 def optimize(phy_base: PhyConfig, net_base: NetworkConfig) -> OptimumResult:
     """Best (eta, N) over both regimes; ties go to the energy-sufficient one."""
     esr = esr_search(phy_base, net_base)
     ecr = ecr_search(phy_base, net_base)
-    if esr.aoi <= ecr.aoi:
-        return OptimumResult(
-            aoi_star=esr.aoi, eta_star=esr.eta, n_star=esr.n_units,
-            regime="ESR", trace=esr.trace,
-        )
-    return OptimumResult(
-        aoi_star=ecr.aoi, eta_star=1.0, n_star=ecr.n_units,
-        regime="ECR", trace=ecr.trace,
-    )
+    return esr if esr.aoi_star <= ecr.aoi_star else ecr

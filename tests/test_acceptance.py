@@ -11,6 +11,7 @@ threshold); the 1e-4 box is asserted at c_N = 1e10.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -486,7 +487,7 @@ def test_criterion_09_scaling_law():
     phy = PhyConfig(alpha=3.8, r=3.0, tx_snr=float("inf"), theta=theta_n, eps=1e-6)
     net = NetworkConfig(density=0.01, N=n, B=100 * n, xi=xi, eta=1.0)
     full = network_aoi_large_buffer(net, phy)
-    scaling = aoi_scaling_large_n(net, phy.with_theta(2.0**R_T - 1.0))
+    scaling = aoi_scaling_large_n(net, replace(phy, theta=2.0**R_T - 1.0))
     ratio = full / scaling
     ok = abs(ratio - 1.0) < 0.05
     _report(9, "scaling-law", ok, f"ratio at N=400: {ratio:.6f}")

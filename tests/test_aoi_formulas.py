@@ -1,6 +1,7 @@
 """Analytical AoI quantities: moments, general formula, closed-form limits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from ehaoi.aoi import (
 )
 from ehaoi.energy_chain import (
     EnergyChainConfig,
-    Regime,
     SteadyState,
     build_transition_matrix,
     char_root,
@@ -130,7 +130,7 @@ def test_interval_micro_oracle():
 
 def test_interval_pure_access_wait():
     # all stationary mass at levels >= 2N: no accumulation ever needed
-    ss = SteadyState(probs=np.array([0, 0, 0, 0, 0.5, 0.5]), regime=Regime.NUMERIC_ORACLE)
+    ss = SteadyState(probs=np.array([0, 0, 0, 0, 0.5, 0.5]))
     m = interval_moments(ss, EnergyChainConfig(2, 5, 0.5, 0.4))
     assert m.mean == pytest.approx(1 / 0.4, abs=1e-14)
     assert m.second == pytest.approx((2 - 0.4) / 0.4**2, abs=1e-13)
@@ -159,7 +159,7 @@ def test_interval_matches_mixture_enumeration(n, b, xi, eta):
 
 
 def test_interval_requires_reachable_energy():
-    ss = SteadyState(probs=np.array([1.0, 0.0, 0.0]), regime=Regime.NUMERIC_ORACLE)
+    ss = SteadyState(probs=np.array([1.0, 0.0, 0.0]))
     with pytest.raises(NeverSufficient):
         interval_moments(ss, EnergyChainConfig(2, 2, 0.5, 0.5))
 
@@ -353,7 +353,7 @@ def test_scaling_ratio_approaches_one():
         phy = PhyConfig(alpha=3.8, r=3.0, tx_snr=float("inf"), theta=theta_n, eps=1e-6)
         net = NetworkConfig(density=0.01, N=n, B=100 * n, xi=0.5, eta=1.0)
         full = network_aoi_large_buffer(net, phy)
-        scaling = aoi_scaling_large_n(net, phy.with_theta(shannon))
+        scaling = aoi_scaling_large_n(net, replace(phy, theta=shannon))
         ratios.append(full / scaling)
     assert abs(ratios[1] - 1.0) < abs(ratios[0] - 1.0)
     assert abs(ratios[1] - 1.0) < 0.05

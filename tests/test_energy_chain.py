@@ -10,7 +10,6 @@ from conftest import straddles_sign_change
 from ehaoi import energy_chain
 from ehaoi.energy_chain import (
     EnergyChainConfig,
-    Regime,
     SteadyState,
     build_transition_matrix,
     char_poly,
@@ -302,15 +301,16 @@ def test_large_buffer_requires_regime():
 
 
 def test_large_buffer_stores_root_below_one():
-    ss = steady_closed_large_buffer(EnergyChainConfig(N=2, B=8, xi=0.25, eta=0.5))
-    assert ss.char_root is not None and ss.char_root < 1.0
-    assert ss.regime is Regime.CLOSED_LARGE_BUFFER
+    # N eta > xi: root below one, the mirror of the abundant case below
+    cfg = EnergyChainConfig(N=2, B=8, xi=0.25, eta=0.5)
+    assert char_root(2, 0.25, 0.5) < 1.0
+    assert np.max(np.abs(steady_closed_large_buffer(cfg).probs - oracle(cfg))) < 1e-12
 
 
 def test_large_buffer_mass_rises_when_energy_abundant():
     # N eta < xi: root above one, occupancy climbs toward the full levels
     ss = steady_closed_large_buffer(EnergyChainConfig(N=3, B=10, xi=0.9, eta=0.2))
-    assert ss.char_root > 1.0
+    assert char_root(3, 0.9, 0.2) > 1.0
     band = ss.probs[3:7]
     assert np.all(np.diff(band) > 0.0)
     num = oracle(EnergyChainConfig(N=3, B=10, xi=0.9, eta=0.2))
@@ -351,7 +351,6 @@ def test_large_buffer_boundary_layer_is_real():
 def test_large_buffer_matches_oracle(n, b, xi, eta):
     cfg = EnergyChainConfig(N=n, B=b, xi=xi, eta=eta)
     ss = steady_closed_large_buffer(cfg)
-    assert ss.char_root == char_root(n, xi, eta)
     assert np.max(np.abs(ss.probs - oracle(cfg))) <= 1e-10
 
 
@@ -375,19 +374,10 @@ def test_infinite_matches_large_finite_buffer():
 def test_infinite_level_n_minus_1_value_and_mass():
     cfg = EnergyChainConfig(N=2, B=7, xi=0.5, eta=0.5)
     ss = steady_infinite_buffer(cfg)
-    z = ss.char_root
+    z = char_root(2, 0.5, 0.5)
     assert ss.probs[1] == pytest.approx(0.5 * 0.5 * (1 - z) / (2 * 0.5 * z), rel=1e-12)
     assert ss.probs.sum() + ss.tail_mass == pytest.approx(1.0, abs=1e-12)
     assert ss.tail_mass > 0.0
-
-
-def test_infinite_truncation_control():
-    cfg = EnergyChainConfig(N=2, B=7, xi=0.5, eta=0.5)
-    ss = steady_infinite_buffer(cfg, truncation=6)
-    assert ss.levels == 6
-    assert ss.probs.sum() + ss.tail_mass == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        steady_infinite_buffer(cfg, truncation=2)
 
 
 def test_infinite_balance_limit_ratios():
@@ -399,8 +389,8 @@ def test_infinite_balance_limit_ratios():
 
 def test_infinite_greedy_route():
     ss = steady_infinite_buffer(EnergyChainConfig(N=2, B=10, xi=0.5, eta=1.0))
-    assert ss.regime is Regime.GREEDY_ETA1
     assert np.allclose(ss.probs[:3], [0.25, 0.5, 0.25])
+    assert not ss.probs[3:].any() and ss.tail_mass == 0.0
 
 
 def _solved_or_none(solve, P):
@@ -471,7 +461,8 @@ def test_dispatcher_routes():
     for cfg in [EnergyChainConfig(3, 30, 0.3, 1.0), EnergyChainConfig(1, 5, 0.3, 0.6),
                 EnergyChainConfig(1, 5, 0.3, 0.3), EnergyChainConfig(2, 3, 0.3, 0.6),
                 EnergyChainConfig(2, 6, 0.3, 0.6), EnergyChainConfig(2, 40, 0.3, 0.6)]:
-        assert steady_state(cfg).regime is Regime.CUT_RECURSION
+        ss = steady_state(cfg)
+        assert ss.levels == cfg.B and ss.tail_mass == 0.0
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 5, 8))
@@ -511,8 +502,18 @@ def test_prob_energy_sufficient_values():
     assert prob_energy_sufficient(greedy, 2) == pytest.approx(0.25, abs=1e-14)
     lemma2 = steady_closed_n1(EnergyChainConfig(N=1, B=2, xi=0.2, eta=0.5))
     assert prob_energy_sufficient(lemma2, 1) == pytest.approx(1 - 0.3 / 0.4875, abs=1e-9)
-    starved = SteadyState(probs=np.array([1.0, 0.0, 0.0]), regime=Regime.NUMERIC_ORACLE)
+    starved = SteadyState(probs=np.array([1.0, 0.0, 0.0]))
     assert prob_energy_sufficient(starved, 2) == 0.0
+
+
+def test_steady_state_refuses_nan():
+    # NaN compares False both ways, so each check must be written to fail on it
+    with pytest.raises(ValueError, match="non-negative"):
+        SteadyState(probs=np.array([math.nan, math.nan]))
+    with pytest.raises(ValueError, match="mass"):
+        SteadyState(probs=np.array([0.5, 0.5]), tail_mass=math.nan)
+    ss = SteadyState(probs=np.array([0.25, 0.5]), tail_mass=0.25)
+    assert prob_energy_sufficient(ss, 1) == 0.75
 
 
 def test_config_validation():

@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,11 +90,11 @@ def test_esr_search_interference_free(clean_phy):
     )
     net = NetworkConfig(density=0.0, N=1, B=100, xi=1.0, eta=1.0)
     res = esr_search(phy, net)
-    assert res.eta == 1.0
-    assert res.n_units == 1
+    assert res.eta_star == 1.0
+    assert res.n_star == 1
     theta1 = effective_threshold_exact(CodingConfig(k=100, N=1, target_rate=0.825, eps=1e-6))
     expected = math.exp(3.0**3.8 * theta1 / db_to_linear(20.0)) / (1 - 1e-6)
-    assert res.aoi == pytest.approx(expected, rel=1e-12)
+    assert res.aoi_star == pytest.approx(expected, rel=1e-12)
 
 
 def test_esr_trace_is_non_increasing():
@@ -113,30 +114,29 @@ def test_ecr_search_monotone_case_stops_at_one():
     )
     net = NetworkConfig(density=0.0, N=1, B=100, xi=0.5, eta=1.0)
     res = ecr_search(phy, net)
-    assert res.n_units == 1
-    assert res.aoi == pytest.approx(2.0 / (1 - 1e-6), rel=1e-12)
-    assert not res.hit_upper
+    assert res.n_star == 1
+    assert res.aoi_star == pytest.approx(2.0 / (1 - 1e-6), rel=1e-12)
+    assert len(res.trace) == 2  # N = 2 is worse, and the scan ends there
 
 
 def test_ecr_search_prefers_longer_codewords_when_dense():
     net = NetworkConfig(density=0.05, N=1, B=100, xi=0.5, eta=1.0)
     res = ecr_search(PHY20, net)
-    assert res.n_units > 1
+    assert res.n_star > 1
 
 
 def test_ecr_search_flags_exhausted_upper_bound():
     net = NetworkConfig(density=0.05, N=1, B=2, xi=0.5, eta=1.0)
     res = ecr_search(PHY20, net)
-    assert res.hit_upper
-    assert res.n_units == 2
+    assert res.n_star == 2
+    assert len(res.trace) == 2
 
 
 def test_ecr_search_stops_at_the_buffer():
     # the AoI still falls at N = 10 = B, so the scan stops on the buffer bound
     net = NetworkConfig(density=0.5, N=1, B=10, xi=0.5, eta=1.0)
     res = ecr_search(PHY20, net)
-    assert res.hit_upper
-    assert res.n_units == 10
+    assert res.n_star == 10
     assert [pt[2] for pt in res.trace] == list(range(1, 11))
 
 
@@ -146,7 +146,7 @@ def test_searches_keep_codewords_within_the_buffer(density, b):
     net = NetworkConfig(density=density, N=1, B=b, xi=0.5, eta=0.5)
     esr, ecr = esr_search(PHY20, net), ecr_search(PHY20, net)
     assert max(pt[2] for pt in esr.trace + ecr.trace) <= b
-    assert esr.n_units == b
+    assert esr.n_star == b
     best = optimize(PHY20, net)
     assert math.isfinite(best.aoi_star)
     assert 1 <= best.n_star <= b
@@ -158,7 +158,7 @@ def test_ecr_search_scans_past_overflowing_success_moment():
     net = NetworkConfig(density=50.0, N=1, B=300, xi=0.5, eta=1.0)
     res = ecr_search(PHY20, net)
     assert [pt[3] for pt in res.trace[:2]] == [math.inf, math.inf]
-    assert math.isfinite(res.aoi) and res.n_units > 2
+    assert math.isfinite(res.aoi_star) and res.n_star > 2
 
 
 def test_ecr_matches_explicit_scan():
@@ -168,9 +168,9 @@ def test_ecr_matches_explicit_scan():
     for n in range(1, 12):
         theta_n = effective_threshold_exact(CodingConfig(k=100, N=n, target_rate=0.825, eps=1e-6))
         probe = NetworkConfig(density=0.01, N=n, B=100, xi=0.75, eta=1.0)
-        values.append(network_aoi_large_buffer(probe, PHY20.with_theta(theta_n)))
-    assert res.aoi == pytest.approx(min(values), rel=1e-12)
-    assert res.n_units == int(np.argmin(values)) + 1
+        values.append(network_aoi_large_buffer(probe, replace(PHY20, theta=theta_n)))
+    assert res.aoi_star == pytest.approx(min(values), rel=1e-12)
+    assert res.n_star == int(np.argmin(values)) + 1
 
 
 def test_optimize_prefers_esr_on_tie():
@@ -195,8 +195,8 @@ def test_optimize_beats_cross_regime_candidates():
     best = optimize(PHY20, net)
     esr = esr_search(PHY20, net)
     ecr = ecr_search(PHY20, net)
-    assert best.aoi_star <= esr.aoi + 1e-12
-    assert best.aoi_star <= ecr.aoi + 1e-12
+    assert best.aoi_star <= esr.aoi_star + 1e-12
+    assert best.aoi_star <= ecr.aoi_star + 1e-12
 
 
 def test_optimize_requires_coding_context():
