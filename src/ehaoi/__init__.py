@@ -2,7 +2,9 @@
 
 Analytical pipeline (energy-buffer chains, finite-blocklength thresholds,
 Poisson-field AoI formulas, joint update-rate/blocklength optimization) and
-the slotted Monte Carlo simulator that validates it.
+the slotted Monte Carlo simulator that validates it.  The analytical
+pipeline runs on the standard library; the simulator's names are loaded,
+and numpy with them, on first access.
 """
 
 __version__ = "0.1.0"
@@ -42,4 +44,15 @@ from .fbl import (  # noqa: F401
     q_inverse,
 )
 from .optimizer import OptimumResult, ecr_search, esr_search, optimize  # noqa: F401
-from .sim import SimConfig, SimReport, run, sample_topology  # noqa: F401
+
+_SIM_NAMES = ("SimConfig", "SimReport", "run", "sample_topology")
+# what a star import bound when the simulator was imported eagerly
+__all__ = [name for name in globals() if not name.startswith("_")] + list(_SIM_NAMES)
+
+
+def __getattr__(name: str):
+    if name in _SIM_NAMES:
+        from . import sim
+
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

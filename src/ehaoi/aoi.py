@@ -23,7 +23,7 @@ from .energy_chain import (
     char_root_approx,
     prob_energy_sufficient,
 )
-from .errors import NeverSufficient, SaturatedAccess, require_finite
+from .errors import NeverSufficient, SaturatedAccess, fold_sum, require_finite
 
 __all__ = [
     "PhyConfig",
@@ -179,11 +179,12 @@ def interval_moments(ss: SteadyState, cfg: EnergyChainConfig) -> IntervalMoments
         raise NeverSufficient("steady state has no mass at or above level N")
 
     def s_at(level: int) -> float:
-        return float(ss.probs[level]) if level <= ss.levels else 0.0
+        return ss.probs[level] if level <= ss.levels else 0.0
 
-    acc1 = sum((n - i - xi) * s_at(n + i) for i in range(n))
-    acc2 = sum((n - i) * (n - i + 1.0 - 3.0 * xi) * s_at(n + i) for i in range(n))
-    accp = sum(s_at(n + i) for i in range(n))
+    # left to right, so the bits do not depend on the Python version
+    acc1 = fold_sum((n - i - xi) * s_at(n + i) for i in range(n))
+    acc2 = fold_sum((n - i) * (n - i + 1.0 - 3.0 * xi) * s_at(n + i) for i in range(n))
+    accp = fold_sum(s_at(n + i) for i in range(n))
     mean = 1.0 / eta + acc1 / (xi * p_suf)
     second = (
         (2.0 - eta) / eta**2

@@ -7,6 +7,9 @@ CSVs; the sidecar records the fully resolved configuration, the library
 version, and the seed actually used.
 
 Exit codes: 0 ok, 2 bad-config, 3 out-of-regime, 4 non-convergence, 5 io.
+
+The simulator, and with it numpy, is imported only for a spec with a
+``sim`` section, so the analytic kinds start on the standard library.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from . import __version__
 from .aoi import NetworkConfig, PhyConfig, db_to_linear, network_aoi_general, network_aoi_large_buffer
@@ -26,15 +29,17 @@ from .energy_chain import build_transition_matrix, solve_steady_numeric, steady_
 from .errors import BadConfig, EhAoiError
 from .fbl import CodingConfig, effective_threshold_approx, effective_threshold_exact
 from .optimizer import optimize
-from .sim import (
-    BernoulliArrivals,
-    BernoulliUpdates,
-    BinomialArrivals,
-    PeriodicUpdates,
-    SimConfig,
-    TwoStateMarkovArrivals,
-    run,
-)
+
+if TYPE_CHECKING:
+    from .sim import SimConfig, SimReport
+
+
+def run(sim_cfg: SimConfig, phy: PhyConfig, net: NetworkConfig) -> SimReport:
+    """:func:`ehaoi.sim.run`, with the simulator imported at the first call."""
+    from .sim import run as simulate
+
+    return simulate(sim_cfg, phy, net)
+
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentSpec:
@@ -169,11 +174,6 @@ def _net_from_params(params: dict) -> NetworkConfig:
         raise BadConfig(f"net section missing key {exc}") from exc
 
 
-_ARRIVALS = {"bernoulli": BernoulliArrivals, "binomial": BinomialArrivals,
-             "markov": TwoStateMarkovArrivals}
-_UPDATES = {"bernoulli": BernoulliUpdates, "periodic": PeriodicUpdates}
-
-
 def _pattern_from(doc: dict | None, patterns: dict, key: str):
     """The pattern its ``type`` names, each field read from the key of its name."""
     if doc is None:
@@ -192,6 +192,18 @@ def _sim_from_params(params: dict, seed_override: int | None) -> SimConfig | Non
     if doc is None:
         return None
     _known("sim", doc, _SIM_KEYS)
+    from .sim import (
+        BernoulliArrivals,
+        BernoulliUpdates,
+        BinomialArrivals,
+        PeriodicUpdates,
+        SimConfig,
+        TwoStateMarkovArrivals,
+    )
+
+    arrivals = {"bernoulli": BernoulliArrivals, "binomial": BinomialArrivals,
+                "markov": TwoStateMarkovArrivals}
+    updates = {"bernoulli": BernoulliUpdates, "periodic": PeriodicUpdates}
     try:
         seed = seed_override if seed_override is not None else _integer("sim.seed", doc.get("seed", 0))
         return SimConfig(
@@ -200,8 +212,8 @@ def _sim_from_params(params: dict, seed_override: int | None) -> SimConfig | Non
             seed=seed,
             side=float(doc["side"]),
             warmup=_integer("sim.warmup", doc["warmup"]) if "warmup" in doc else None,
-            arrivals=_pattern_from(doc.get("arrivals"), _ARRIVALS, "sim.arrivals"),
-            updates=_pattern_from(doc.get("updates"), _UPDATES, "sim.updates"),
+            arrivals=_pattern_from(doc.get("arrivals"), arrivals, "sim.arrivals"),
+            updates=_pattern_from(doc.get("updates"), updates, "sim.updates"),
         )
     except KeyError as exc:
         raise BadConfig(f"sim section missing key {exc}") from exc
@@ -247,6 +259,10 @@ def _run_threshold(spec: ExperimentSpec, seed_override):
         eps_values = [float(v) for v in p.get("eps_values", [p.get("eps", 1e-6)])]
     except KeyError as exc:
         raise BadConfig(f"threshold params missing {exc}") from exc
+    if not n_values:
+        raise BadConfig("threshold n_values must be non-empty")
+    if not eps_values:
+        raise BadConfig("threshold eps_values must be non-empty")
     header = ["blocklength", "eps", "exact", "approx", "abs_gap"]
     rows = []
     for n in n_values:

@@ -10,18 +10,30 @@ tractable buffer regimes, the characteristic root of the underlying
 difference equation, and the pivoted Hessenberg elimination of the
 balance system (the independent oracle) are kept as results the route is
 checked against.  The oracle works on the transition matrix held by its
-N+2 bands, since a level gains at most one unit and loses N or N-1 per
-slot, so it too takes O(B N) time and memory.
+N+2 bands, lists of floats, since a level gains at most one unit and
+loses N or N-1 per slot, so it too takes O(B N) time and memory.
+
+Everything here runs on Python floats.  Sums that end in a result are
+taken in a fixed order: normalizers by numpy's pairwise scheme, so the
+bits equal those of numpy's ``sum``, and short running sums left to right.
+Only the large-buffer closed form imports numpy, for its companion-matrix
+roots and its small complex solve.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import NonConvergence, NotRecurrent, OutOfRegime, bisect_increasing
+from .errors import (
+    NonConvergence,
+    NotRecurrent,
+    OutOfRegime,
+    bisect_increasing,
+    fold_sum,
+    pairwise_sum,
+)
 
 __all__ = [
     "EnergyChainConfig",
@@ -81,22 +93,23 @@ class EnergyChainConfig:
 class SteadyState:
     """Stationary distribution over buffer levels 0..B.
 
-    ``probs[i]`` is the long-run probability of holding i units.  For an
-    infinite buffer ``probs`` is a truncation and ``tail_mass`` holds the
-    analytically summed geometric remainder, so that
-    ``probs.sum() + tail_mass == 1``; otherwise ``tail_mass`` is 0.  A
-    negative or NaN entry, or a total mass off 1, raises ValueError.
+    ``probs[i]`` is the long-run probability of holding i units, a tuple of
+    floats made from any sequence.  For an infinite buffer ``probs`` is a
+    truncation and ``tail_mass`` holds the analytically summed geometric
+    remainder, so that ``sum(probs) + tail_mass == 1``; otherwise
+    ``tail_mass`` is 0.  A negative or NaN entry, or a total mass off 1,
+    raises ValueError.
     """
 
-    probs: np.ndarray
+    probs: tuple[float, ...]
     tail_mass: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
+        object.__setattr__(self, "probs", tuple(map(float, self.probs)))
         # written so that a NaN fails both checks
-        if not np.all(self.probs >= -1e-12):
+        if not all(p >= -1e-12 for p in self.probs):
             raise ValueError("stationary probabilities must be non-negative")
-        total = float(self.probs.sum()) + self.tail_mass
+        total = pairwise_sum(self.probs) + self.tail_mass
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"stationary mass is {total!r}, expected 1")
 
@@ -105,10 +118,15 @@ class SteadyState:
         return len(self.probs) - 1
 
 
-def build_transition_matrix(cfg: EnergyChainConfig) -> np.ndarray:
+def _normalized(raw: Sequence[float]) -> list[float]:
+    total = pairwise_sum(raw)
+    return [v / total for v in raw]
+
+
+def build_transition_matrix(cfg: EnergyChainConfig) -> list[list[float]]:
     """The row-stochastic one-slot transition matrix P by its bands.
 
-    Returns the (N+2) x (B+1) array ``bands[d, i] = P[i, i + d - N]``:
+    Returns N+2 lists of B+1 floats, ``bands[d][i] = P[i, i + d - N]``:
     band N+1 is the one-unit gain, band N holding level, and bands 0 and 1
     the attempts without and with an arrival, which lose N and N-1 units
     (at N = 1, band 1 is band N).  Levels below N can only gain energy;
@@ -117,26 +135,25 @@ def build_transition_matrix(cfg: EnergyChainConfig) -> np.ndarray:
     Entries that would fall outside P are 0.
     """
     n, b, xi, eta = cfg.N, cfg.B, cfg.xi, cfg.eta
-    bands = np.zeros((n + 2, b + 1))
-    bands[n, :n] += 1.0 - xi
-    bands[n + 1, :n] += xi
-    bands[n, n:b] += (1.0 - eta) * (1.0 - xi)
-    bands[n + 1, n:b] += (1.0 - eta) * xi
-    bands[n, b] += 1.0 - eta
-    bands[0, n:] += eta * (1.0 - xi)
-    bands[1, n:] += eta * xi
-    return bands
+    hold = [1.0 - xi] * n + [(1.0 - eta) * (1.0 - xi)] * (b - n) + [1.0 - eta]
+    gain = [xi] * n + [(1.0 - eta) * xi] * (b - n) + [0.0]
+    drop_n = [0.0] * n + [eta * (1.0 - xi)] * (b + 1 - n)
+    drop_n1 = [0.0] * n + [eta * xi] * (b + 1 - n)
+    if n == 1:  # losing N - 1 = 0 units holds the level
+        return [drop_n, [h + d for h, d in zip(hold, drop_n1)], gain]
+    return [drop_n, drop_n1, *([0.0] * (b + 1) for _ in range(n - 2)), hold, gain]
 
 
-def solve_steady_numeric(bands: np.ndarray, tol: float = 1e-12) -> SteadyState:
+def solve_steady_numeric(bands: Sequence[Sequence[float]], tol: float = 1e-12) -> SteadyState:
     """Stationary vector of a skip-free-upward chain held by its bands.
 
-    ``bands`` is a (K+2) x m array with ``bands[d, i] = P[i, i + d - K]``
-    for a row-stochastic m x m matrix P that moves up by at most one level
-    and down by at most K levels per step, the layout of
+    ``bands`` is K+2 equal-length sequences of m floats (lists, or the
+    rows of a 2-D array) with ``bands[d][i] = P[i, i + d - K]`` for a
+    row-stochastic m x m matrix P that moves up by at most one level and
+    down by at most K levels per step, the layout of
     :func:`build_transition_matrix`; entries that would fall outside P are
-    ignored.  An array with fewer than two bands, or with a lowest band
-    that lies wholly outside P (K >= m), raises ValueError.
+    ignored.  Fewer than two bands, bands of unequal length, or a lowest
+    band that lies wholly outside P (K >= m) raise ValueError.
 
     The balance system ``(P^T - I) s = 0`` is upper Hessenberg with K
     bands above the diagonal.  Its level-0 row, which the other rows
@@ -149,74 +166,80 @@ def solve_steady_numeric(bands: np.ndarray, tol: float = 1e-12) -> SteadyState:
     so it is held as one scalar, and each row of the triangular factor as
     its band plus that constant (0 when the balance row pivots).  Back
     substitution adds the band's products and the constant times a running
-    suffix sum of the solution.  O(m K) time and memory, and no BLAS call,
-    so the result does not depend on the thread count.
+    suffix sum of the solution.  O(m K) time and memory on Python floats.
 
     The result is verified by the residual ||s P - s||_inf <= tol, taken
     from the bands.  An exact zero pivot means the chain has more than one
     closed class, so the stationary law is not unique; that, a residual
     above tol, and an entry below -tol raise NonConvergence.
     """
-    bands = np.asarray(bands, dtype=float)
-    if bands.ndim != 2 or not 2 <= bands.shape[0] <= bands.shape[1] + 1:
+    try:
+        bands = [list(map(float, band)) for band in bands]
+    except TypeError:  # a flat sequence of numbers
+        bands = []
+    w = len(bands)
+    m = len(bands[0]) if bands else 0
+    if any(len(band) != m for band in bands) or not 2 <= w <= m + 1:
         raise ValueError(
-            "bands must be a (K+2) x m array with 0 <= K < m: bands[d, i] = P[i, i + d - K]"
+            "bands must be K+2 sequences of m floats with 0 <= K < m: bands[d][i] = P[i, i + d - K]"
         )
-    w, m = bands.shape
     below = w - 2
-    # cols[k, t] = P[k + t, k + 1]: column k+1 of P from row k, which is row
+    # cols[k][t] = P[k + t, k + 1]: column k+1 of P from row k, which is row
     # k+1 of P^T - I from column k once its diagonal loses 1; zero past P
-    cols = np.zeros((m, w))
-    for t in range(w):
-        cols[:m - t, t] = bands[below + 1 - t, t:]
-    cols[:, 1] -= 1.0
-    U = np.zeros((m, w))  # row k of the triangular factor, columns k..k+K+1
-    U_tail = np.zeros(m)  # its value in every column right of that band
-    rhs = np.zeros(m)
+    cols = [[bands[below + 1 - t][k + t] if k + t < m else 0.0 for t in range(w)]
+            for k in range(m)]
+    for col in cols:
+        col[1] -= 1.0
+    U = [[]] * m  # row k of the triangular factor, columns k..k+K+1
+    U_tail = [0.0] * m  # its value in every column right of that band
+    rhs = [0.0] * m
     # the row still to pivot, normalization first: columns k..k+K+1 at step
     # k sit in carried[k:k + w], and every column right of them holds tail
-    carried = np.ones(m + w)
+    carried = [1.0] * (m + w)
     tail, row_rhs = 1.0, 1.0
     for k in range(m - 1):
-        row, nxt = carried[k:k + w], cols[k]
-        row[-1] = tail  # column k+K+1 enters the band
-        if abs(nxt[0]) > abs(row[0]):
+        nxt = cols[k]
+        carried[k + w - 1] = tail  # column k+K+1 enters the band
+        pivot = carried[k]
+        if abs(nxt[0]) > abs(pivot):
             # the balance row pivots; the carried row is eliminated against it
             U[k] = nxt
-            row[1:] -= row[0] / nxt[0] * nxt[1:]
+            ratio = pivot / nxt[0]
+            for t in range(1, w):
+                carried[k + t] -= ratio * nxt[t]
         else:
-            if row[0] == 0.0:
+            if pivot == 0.0:
                 raise NonConvergence("singular balance system: the stationary law is not unique")
-            U[k] = row
+            U[k] = carried[k:k + w]
             U_tail[k] = tail
             rhs[k] = row_rhs
-            factor = -nxt[0] / row[0]
-            row[1:] *= factor
-            row[1:] += nxt[1:]
+            factor = -nxt[0] / pivot
+            for t in range(1, w):
+                carried[k + t] = carried[k + t] * factor + nxt[t]
             tail *= factor
             row_rhs *= factor
     if carried[m - 1] == 0.0:
         raise NonConvergence("singular balance system: the stationary law is not unique")
-    U[m - 1, 0] = carried[m - 1]
+    U[m - 1] = [carried[m - 1]] + [0.0] * (w - 1)
     rhs[m - 1] = row_rhs
-    s = np.zeros(m + w)  # zero past the last level, so every band slice has w entries
+    s = [0.0] * (m + w)  # zero past the last level, so every band slice has w entries
     suffix = 0.0  # sum of s right of row k's band, s[k + w:]
     for k in range(m - 1, -1, -1):
-        # multiply and sum, not a BLAS dot, whose bits move with the thread count
-        s[k] = (rhs[k] - (U[k, 1:] * s[k + 1:k + w]).sum() - U_tail[k] * suffix) / U[k, 0]
+        row = U[k]
+        dot = pairwise_sum([row[t] * s[k + t] for t in range(1, w)])
+        s[k] = (rhs[k] - dot - U_tail[k] * suffix) / row[0]
         suffix += s[k + w - 1]
-    s = s[:m]
-    flow = -s  # s P - s, band by band: P[i, i + d - K] moves mass from i to i + d - K
-    for d in range(w):
+    del s[m:]
+    flow = [-v for v in s]  # s P - s, band by band: P[i, i + d - K] moves mass from i to i + d - K
+    for d, band in enumerate(bands):
         shift = d - below
-        lo, hi = max(0, -shift), min(m, m - shift)
-        flow[lo + shift:hi + shift] += s[lo:hi] * bands[d, lo:hi]
-    residual = float(np.max(np.abs(flow)))
-    if not residual <= tol or np.any(s < -tol):  # a NaN residual fails too
+        for i in range(max(0, -shift), min(m, m - shift)):
+            flow[i + shift] += s[i] * band[i]
+    residual = math.nan if any(map(math.isnan, flow)) else max(map(abs, flow))
+    if not residual <= tol or any(v < -tol for v in s):  # a NaN residual fails too
         raise NonConvergence(f"stationary residual {residual:.3e} above tol {tol:.3e}")
-    s = np.clip(s, 0.0, None)
-    s /= s.sum()
-    return SteadyState(probs=s)
+    # -0.0 becomes 0.0 too, so no level prints as -0
+    return SteadyState(probs=_normalized([v if v > 0.0 else 0.0 for v in s]))
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +256,16 @@ def char_poly(z: float, n: int, xi: float, eta: float) -> float:
     )
 
 
-def _deflated(z, n: int, xi: float, eta: float):
+def _deflated(z: float, n: int, xi: float, eta: float) -> float:
     """Quotient after exact synthetic division of char_poly by (z - 1).
 
     g(z) = (1-xi) eta z^N + eta (z^{N-1} + ... + z) - xi (1-eta); strictly
     increasing for z > 0, g(0) < 0, g(1) = N eta - xi, so bisection brackets
-    are trivial on either side of 1.  Accepts scalars or arrays.
+    are trivial on either side of 1.
     """
-    z = np.asarray(z, dtype=float)
-    mid = np.zeros_like(z)
+    mid = 0.0
     for j in range(1, n):
-        mid = mid + z**j
+        mid += z**j
     return (1.0 - xi) * eta * z**n + eta * mid - xi * (1.0 - eta)
 
 
@@ -292,13 +314,13 @@ def char_root_approx(n: int, xi: float, eta: float) -> float:
 # Closed-form stationary distributions
 # ---------------------------------------------------------------------------
 
-def _finalize(raw: np.ndarray) -> SteadyState:
-    total = float(raw.sum())
+def _finalize(raw: list[float]) -> SteadyState:
+    total = pairwise_sum(raw)
     if abs(total - 1.0) > _MASS_TOL:
         raise NonConvergence(
             f"closed-form mass {total!r} deviates from 1 beyond {_MASS_TOL}"
         )
-    return SteadyState(probs=raw / total)
+    return SteadyState(probs=[v / total for v in raw])
 
 
 def steady_closed_n1(cfg: EnergyChainConfig) -> SteadyState:
@@ -314,7 +336,7 @@ def steady_closed_n1(cfg: EnergyChainConfig) -> SteadyState:
     if not (cfg.xi < 1.0 and cfg.eta < 1.0):
         raise OutOfRegime("closed_n1 requires xi < 1 and eta < 1")
     rho = (1.0 - cfg.eta) * cfg.xi / ((1.0 - cfg.xi) * cfg.eta)
-    s = np.empty(cfg.B + 1)
+    s = [0.0] * (cfg.B + 1)
     if cfg.xi == cfg.eta:  # rho is then exactly 1.0: both products round alike
         s[0] = 1.0 / (1.0 + cfg.B / (1.0 - cfg.eta))
     else:
@@ -340,7 +362,7 @@ def steady_closed_small_buffer(cfg: EnergyChainConfig) -> SteadyState:
         raise OutOfRegime("small-buffer closed form requires xi < 1 and eta < 1")
     phi = cfg.phi
     eta, xi = cfg.eta, cfg.xi
-    s = np.zeros(b + 1)
+    s = [0.0] * (b + 1)
     if b < 2 * n:
         sb = 1.0 / ((1.0 - eta) * (1.0 + n * phi * (1.0 + phi) ** (b - n)))
         s[b] = sb
@@ -371,7 +393,7 @@ def steady_eta_one(cfg: EnergyChainConfig) -> SteadyState:
     """
     if cfg.eta != 1.0:
         raise OutOfRegime("eta-one form requires eta == 1")
-    s = np.zeros(cfg.B + 1)
+    s = [0.0] * (cfg.B + 1)
     s[0] = (1.0 - cfg.xi) / cfg.N
     for i in range(1, cfg.N):
         s[i] = 1.0 / cfg.N
@@ -386,12 +408,14 @@ def _geom_ratio_factor(z: float, i: int, xi: float) -> float:
     return 1.0 + (xi / (1.0 - xi) + z) * (1.0 - z**i) / (1.0 - z)
 
 
-def _interior_roots(n: int, xi: float, eta: float) -> np.ndarray:
+def _interior_roots(n: int, xi: float, eta: float):
     """The N-1 roots of char_poly besides 1 and the positive root char_root.
 
     They are the remaining roots of the deflated quotient (see _deflated),
     taken from its companion matrix and polished by two Newton steps.
     """
+    import numpy as np
+
     g = np.array([(1.0 - xi) * eta] + [eta] * (n - 1) + [-xi * (1.0 - eta)], dtype=complex)
     dg = np.polyder(g)
     roots = np.roots(g)
@@ -419,6 +443,8 @@ def steady_closed_large_buffer(cfg: EnergyChainConfig) -> SteadyState:
     normalization: a (2N+2)-square complex solve whose solution is real up
     to rounding.  The result is exact for every finite B in the regime.
     """
+    import numpy as np
+
     n, b = cfg.N, cfg.B
     if n < 2:
         raise OutOfRegime("large-buffer closed form requires N >= 2 (N = 1 has its own form)")
@@ -439,7 +465,7 @@ def steady_closed_large_buffer(cfg: EnergyChainConfig) -> SteadyState:
     # unknowns: N+1 mode coefficients, then s_0..s_{N-1}, then s_B
     k = n + 1
 
-    def level(i: int) -> np.ndarray:
+    def level(i: int):
         row = np.zeros(2 * n + 2, dtype=complex)
         if i < n:
             row[k + i] = 1.0
@@ -449,7 +475,7 @@ def steady_closed_large_buffer(cfg: EnergyChainConfig) -> SteadyState:
             row[:k] = modes[i - n]
         return row
 
-    def balance(j: int) -> np.ndarray:
+    def balance(j: int):
         # s_j minus the inflow into level j from j (stay), j-1 (one arrival),
         # j+N (attempt, no arrival) and j+N-1 (attempt and arrival)
         stay = 1.0 - xi if j < n else (1.0 - eta) * (1.0 - xi) if j < b else 1.0 - eta
@@ -473,7 +499,7 @@ def steady_closed_large_buffer(cfg: EnergyChainConfig) -> SteadyState:
     s[n:b] = (modes @ x[:k]).real
     s[b] = x[-1].real
     # levels whose mass is below rounding can come out as -1e-16
-    return _finalize(np.maximum(s, 0.0))
+    return _finalize(np.maximum(s, 0.0).tolist())
 
 
 def steady_infinite_buffer(cfg: EnergyChainConfig) -> SteadyState:
@@ -497,7 +523,7 @@ def steady_infinite_buffer(cfg: EnergyChainConfig) -> SteadyState:
     z = char_root(n, xi, eta)
     depth = math.ceil(math.log(1e-12) / math.log(z)) if z > 0.0 else 0
     top = max(2 * n, min(n + depth, 100_000))
-    s = np.zeros(top + 1)
+    s = [0.0] * (top + 1)
     s0 = (1.0 - xi) * (1.0 - z) / n
     for i in range(0, n - 1):
         s[i] = _geom_ratio_factor(z, i, xi) * s0
@@ -506,10 +532,10 @@ def steady_infinite_buffer(cfg: EnergyChainConfig) -> SteadyState:
     for i in range(n, top + 1):
         s[i] = head * z ** (i - n)
     tail = xi * z ** (top + 1 - n) / (n * eta)
-    total = float(s.sum()) + tail
+    total = pairwise_sum(s) + tail
     if abs(total - 1.0) > _MASS_TOL:
         raise NonConvergence(f"infinite-buffer mass {total!r} deviates from 1")
-    return SteadyState(probs=s / total, tail_mass=tail / total)
+    return SteadyState(probs=[v / total for v in s], tail_mass=tail / total)
 
 
 def steady_state(cfg: EnergyChainConfig) -> SteadyState:
@@ -527,7 +553,9 @@ def steady_state(cfg: EnergyChainConfig) -> SteadyState:
 
     with up(c) = xi for c < N and (1-eta) xi otherwise.  Every term is
     non-negative, so nothing cancels; the tail s[c:] is scaled down by
-    1e-100 whenever a value passes 1e100.  O(B N) time.
+    1e-100 whenever a value passes 1e100.  O(B N) time.  Each cut sum is
+    taken left to right from 0.0 and the normalizer pairwise, so the bits
+    do not depend on the Python version.
 
     At N = 1, xi = eta = 1 every level >= 1 is absorbing and the law is not
     unique; the recursion returns the point mass on level 1.
@@ -539,12 +567,14 @@ def steady_state(cfg: EnergyChainConfig) -> SteadyState:
     s[top] = 1.0
     for c in range(top - 1, -1, -1):
         lo = max(c + 1, n)
-        down = drop_n * sum(s[lo:c + n + 1]) + drop_n1 * sum(s[lo:c + n])
+        near = fold_sum(s[lo:c + n])
+        # one more term of the same left-to-right sum: s[lo:c + n + 1] adds s[c + n]
+        far = near + s[c + n] if c + n <= cfg.B else near
+        down = drop_n * far + drop_n1 * near
         s[c] = down / (xi if c < n else (1.0 - eta) * xi)
         if s[c] > 1e100:
             s[c:] = [v * 1e-100 for v in s[c:]]
-    probs = np.array(s)
-    return SteadyState(probs=probs / probs.sum())
+    return SteadyState(probs=_normalized(s))
 
 
 def prob_energy_sufficient(ss: SteadyState, n: int) -> float:
@@ -553,4 +583,4 @@ def prob_energy_sufficient(ss: SteadyState, n: int) -> float:
         raise ValueError("n must be non-negative")
     if n > ss.levels:
         return float(ss.tail_mass)
-    return float(ss.probs[n:].sum()) + ss.tail_mass
+    return pairwise_sum(ss.probs[n:]) + ss.tail_mass

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-import numpy as np
-
 from .aoi import NetworkConfig, PhyConfig, network_aoi_large_buffer, omega
 from .errors import IterationBudgetExceeded, SaturatedAccess, bisect_increasing
 from .fbl import CodingConfig, effective_threshold_approx, effective_threshold_exact
@@ -80,6 +78,8 @@ def optimal_eta_esr_cubic(density: float, omega_n: float, r: float, alpha: float
     exact bisection root is returned.  Kept for parity studies; the searches
     use the exact root.
     """
+    import numpy as np
+
     c = density * omega_n * r**2
     if c <= 0.0:
         return 1.0

@@ -29,7 +29,7 @@ def brute_interval_moments(ss: SteadyState, n: int, xi: float, eta: float):
     component is NegBin(w, xi) + Geom(eta), whose first two moments are
     textbook, so the mixture moments follow by direct summation.
     """
-    probs = ss.probs
+    probs = np.asarray(ss.probs)
     b = len(probs) - 1
 
     def s_at(i):

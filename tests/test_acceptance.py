@@ -87,7 +87,7 @@ def test_criterion_01_steady_state_equivalence():
                     if b < n:
                         continue
                     cfg = EnergyChainConfig(N=n, B=b, xi=xi, eta=eta)
-                    oracle = solve_steady_numeric(build_transition_matrix(cfg)).probs
+                    oracle = np.asarray(solve_steady_numeric(build_transition_matrix(cfg)).probs)
                     forms = []
                     if eta == 1.0:
                         forms.append(("eta1", steady_eta_one(cfg)))

@@ -158,6 +158,14 @@ def test_interval_matches_mixture_enumeration(n, b, xi, eta):
     assert m.second >= m.mean**2
 
 
+def test_interval_moment_bits_do_not_depend_on_the_python_version():
+    # the bits of Python 3.11's builtin sum(); a compensated sum, which the
+    # builtin is from 3.12 on, moves both moments of this chain in the last bit
+    cfg = EnergyChainConfig(N=4, B=8, xi=0.8, eta=0.6)
+    m = interval_moments(steady_state(cfg), cfg)
+    assert (m.mean.hex(), m.second.hex()) == ("0x1.40a376719b6cfp+2", "0x1.c5ccb32b22cd7p+4")
+
+
 def test_interval_requires_reachable_energy():
     ss = SteadyState(probs=np.array([1.0, 0.0, 0.0]))
     with pytest.raises(NeverSufficient):

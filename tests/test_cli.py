@@ -278,6 +278,16 @@ def test_stray_spec_key_is_bad_config(tmp_path, capsys, doc, key):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("key", ["n_values", "eps_values"])
+def test_empty_threshold_list_is_bad_config(tmp_path, capsys, key):
+    doc = _with(THRESHOLD_DOC, lambda d: d["params"].update({key: []}))
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad-config: ") and key in err
+    assert not list(out.glob("*.csv"))
+
+
 def test_arrivals_that_never_come_are_bad_config(tmp_path, capsys):
     # zero mean arrival rate: the default warmup takes half the horizon and
     # the run, delivering nothing, is refused rather than written
@@ -358,22 +368,58 @@ def test_infinite_sweep_value_is_bad_config(tmp_path, capsys):
     assert not list(out.glob("*.csv"))
 
 
-def test_cli_loads_no_scipy(tmp_path):
-    # a fresh interpreter, so no module imported by the test suite leaks in;
-    # it runs in the directory holding the package, which `-c` puts on sys.path
+CURVE_DOC = {
+    "name": "curve",
+    "kind": "aoi_curve",
+    "params": {"phy": {"alpha": 3.8, "r": 3.0, "snr_db": 13.0, "eps": 1e-6, "theta": 1.3},
+               "net": {"density": 0.01, "N": 2, "B": 30, "xi": 0.5, "eta": 0.5}},
+    "sweep": {"name": "B", "values": [8, 30]},
+}
+
+
+def test_analytic_specs_load_no_numpy(tmp_path):
+    # fresh interpreters, so no module imported by the test suite leaks in;
+    # each runs in the directory holding the package, which `-c` puts on sys.path
     code = (
         "import json, sys\n"
+        "def loaded(): return sorted(m for m in sys.modules if m.startswith(('numpy', 'scipy')))\n"
+        "import ehaoi\n"
+        "bare = loaded()\n"
         "from ehaoi.cli import main\n"
         "status = main(['--spec', sys.argv[1], '--out', sys.argv[2], '--quiet'])\n"
-        "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+        "print(json.dumps([bare, status, loaded()]))\n"
     )
-    spec = write_spec(tmp_path, THRESHOLD_DOC)
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(spec), str(tmp_path / "out")],
-        cwd=Path(ehaoi.__file__).parents[1], capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0, []]
+    docs = {
+        "threshold": THRESHOLD_DOC,
+        "optimize": OPTIMIZE_DOC,
+        "curve-general": CURVE_DOC,
+        "curve-large_buffer": _with(CURVE_DOC, lambda d: d["params"].update(formula="large_buffer")),
+        "steady_state": STEADY_DOC,
+        "simulate": SIMULATE_DOC,
+    }
+    modules = {}
+    for name, doc in docs.items():
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(write_spec(tmp_path, doc, f"{name}.json")),
+             str(tmp_path / name)],
+            cwd=Path(ehaoi.__file__).parents[1], capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        bare, status, modules[name] = json.loads(proc.stdout)
+        assert bare == [] and status == 0, name
+    # the probe does see numpy once a spec runs the simulator
+    assert "numpy" in modules.pop("simulate")
+    assert not any(modules.values()), modules
+
+
+def test_simulator_names_are_reexported():
+    from ehaoi import SimConfig, SimReport, run, sample_topology
+    from ehaoi import sim
+
+    assert (SimConfig, SimReport, run, sample_topology) == (
+        sim.SimConfig, sim.SimReport, sim.run, sim.sample_topology)
+    with pytest.raises(AttributeError, match="no attribute 'simulate'"):
+        ehaoi.simulate  # noqa: B018
 
 
 def test_steady_state_does_not_depend_on_blas_threads(tmp_path):

@@ -31,11 +31,12 @@ ETA_GRID = (0.2, 0.5, 0.8)
 
 
 def oracle(cfg: EnergyChainConfig) -> np.ndarray:
-    return solve_steady_numeric(build_transition_matrix(cfg)).probs
+    return np.asarray(solve_steady_numeric(build_transition_matrix(cfg)).probs)
 
 
-def dense_view(bands: np.ndarray) -> np.ndarray:
-    """The m x m matrix P that ``bands[d, i] = P[i, i + d - K]`` holds, K = len(bands) - 2."""
+def dense_view(bands) -> np.ndarray:
+    """The m x m matrix P that ``bands[d][i] = P[i, i + d - K]`` holds, K = len(bands) - 2."""
+    bands = np.asarray(bands)
     w, m = bands.shape
     P = np.zeros((m, m))
     for d in range(w):
@@ -100,8 +101,9 @@ def test_numeric_residual_and_mass():
         bands = build_transition_matrix(EnergyChainConfig(N=n, B=b, xi=xi, eta=eta))
         ss = solve_steady_numeric(bands, tol=1e-12)
         P = dense_view(bands)
-        assert ss.probs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(ss.probs @ P - ss.probs)) <= 1e-12
+        probs = np.asarray(ss.probs)
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(probs @ P - probs)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +367,7 @@ def test_infinite_requires_recurrence():
 
 def test_infinite_matches_large_finite_buffer():
     cfg = EnergyChainConfig(N=2, B=200, xi=0.5, eta=0.5)
-    fin = steady_closed_large_buffer(cfg).probs
+    fin = np.asarray(steady_closed_large_buffer(cfg).probs)
     inf_ss = steady_infinite_buffer(EnergyChainConfig(N=2, B=7, xi=0.5, eta=0.5))
     m = min(len(fin), inf_ss.levels + 1, 40)
     assert np.max(np.abs(fin[:m] - inf_ss.probs[:m])) < 1e-12
@@ -376,7 +378,7 @@ def test_infinite_level_n_minus_1_value_and_mass():
     ss = steady_infinite_buffer(cfg)
     z = char_root(2, 0.5, 0.5)
     assert ss.probs[1] == pytest.approx(0.5 * 0.5 * (1 - z) / (2 * 0.5 * z), rel=1e-12)
-    assert ss.probs.sum() + ss.tail_mass == pytest.approx(1.0, abs=1e-12)
+    assert np.sum(ss.probs) + ss.tail_mass == pytest.approx(1.0, abs=1e-12)
     assert ss.tail_mass > 0.0
 
 
@@ -390,7 +392,7 @@ def test_infinite_balance_limit_ratios():
 def test_infinite_greedy_route():
     ss = steady_infinite_buffer(EnergyChainConfig(N=2, B=10, xi=0.5, eta=1.0))
     assert np.allclose(ss.probs[:3], [0.25, 0.5, 0.25])
-    assert not ss.probs[3:].any() and ss.tail_mass == 0.0
+    assert not any(ss.probs[3:]) and ss.tail_mass == 0.0
 
 
 def _solved_or_none(solve, P):
@@ -408,7 +410,7 @@ def test_numeric_matches_dense_reference(n):
             for b in sorted({n, 2 * n - 1, 2 * n, 3 * n + 1, 10 * n, 200 * n}):
                 cfg = EnergyChainConfig(N=n, B=b, xi=xi, eta=eta)
                 bands = build_transition_matrix(cfg)
-                got = _solved_or_none(lambda M: solve_steady_numeric(M).probs, bands)
+                got = _solved_or_none(lambda M: np.asarray(solve_steady_numeric(M).probs), bands)
                 want = _solved_or_none(dense_reference, dense_view(bands))
                 assert (got is None) == (want is None), cfg
                 if got is None:
@@ -435,9 +437,45 @@ def test_numeric_refuses_other_matrices():
         solve_steady_numeric(bands)
     # a NaN entry spreads through the solution, and its residual is NaN
     bands = build_transition_matrix(EnergyChainConfig(N=2, B=6, xi=0.5, eta=0.5))
-    bands[2, 3] = np.nan
+    bands[2][3] = math.nan
     with pytest.raises(NonConvergence, match="residual nan"):
         solve_steady_numeric(bands)
+
+
+def test_numeric_takes_bands_as_lists_or_an_array():
+    for cfg in (EnergyChainConfig(1, 40, 0.3, 0.6), EnergyChainConfig(3, 500, 0.69, 0.34),
+                EnergyChainConfig(8, 300, 0.9, 0.2)):
+        bands = build_transition_matrix(cfg)
+        assert solve_steady_numeric(bands).probs == solve_steady_numeric(np.asarray(bands)).probs
+
+
+def _random_banded_chain(rng, k: int, m: int) -> np.ndarray:
+    """Bands of a random row-stochastic m x m matrix, one step up and k down, all inside P positive."""
+    bands = rng.random((k + 2, m)) + 0.05
+    for d in range(k + 2):
+        shift = d - k
+        bands[d, [i for i in range(m) if not 0 <= i + shift < m]] = 0.0
+    return bands / bands.sum(axis=0)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 5, 8))
+def test_numeric_matches_dense_least_squares_on_random_chains(k):
+    rng = np.random.default_rng(k)
+    for m in (k + 1, k + 2, 3 * k + 4, 40, 400):
+        bands = _random_banded_chain(rng, k, m)
+        P = dense_view(bands)
+        # the stationary law solves [P^T - I; 1 ... 1] s = [0; 1] exactly
+        A = np.vstack([P.T - np.eye(m), np.ones(m)])
+        rhs = np.zeros(m + 1)
+        rhs[-1] = 1.0
+        want = np.linalg.lstsq(A, rhs, rcond=None)[0]
+        got = np.asarray(solve_steady_numeric(bands.tolist()).probs)
+        if m <= 40:
+            assert np.max(np.abs(got - want)) <= 1e-12, (k, m)
+        else:
+            # at k = 1 this system's condition number reaches 1e8, so the dense
+            # answer carries an error of 1e-11; compare the balance residuals
+            assert np.max(np.abs(got @ P - got)) <= np.max(np.abs(want @ P - want)), (k, m)
 
 
 def test_numeric_memory_is_linear_in_the_buffer():
