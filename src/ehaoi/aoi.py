@@ -152,17 +152,16 @@ def inv_success_moment(phy: PhyConfig, net: NetworkConfig, p_active: float) -> f
         raise ValueError("p_active must be non-negative")
     if p_active > 1.0 or (p_active == 1.0 and net.density > 0.0):
         raise SaturatedAccess(f"p_active = {p_active} >= 1 saturates the channel")
-    if net.density == 0.0:
-        exponent = 0.0  # interference-free: only the noise exponent survives
-    else:
-        geom = net.density * omega(phy.theta, phy.alpha) * phy.r**2
-        exponent = geom * p_active / (1.0 - p_active) ** (1.0 - 2.0 / phy.alpha)
-    exponent += phy.noise_exponent
+    # all inside the try: at an extreme r or alpha, r**alpha and r**2 overflow before exp does
     try:
+        exponent = phy.noise_exponent
+        if net.density > 0.0:  # with no interferers only the noise exponent is left
+            geom = net.density * omega(phy.theta, phy.alpha) * phy.r**2
+            exponent += geom * p_active / (1.0 - p_active) ** (1.0 - 2.0 / phy.alpha)
         return math.exp(exponent) / (1.0 - phy.eps)
     except OverflowError:
         raise SaturatedAccess(
-            f"success-moment exponent {exponent:.6g} overflows: links almost never decode"
+            "success-moment exponent overflows a float: links almost never decode"
         ) from None
 
 

@@ -28,9 +28,11 @@ from .aoi import NetworkConfig, PhyConfig, db_to_linear, network_aoi_general, ne
 from .energy_chain import build_transition_matrix, solve_steady_numeric, steady_state
 from .errors import BadConfig, EhAoiError
 from .fbl import CodingConfig, effective_threshold_approx, effective_threshold_exact
-from .optimizer import optimize
+from .optimizer import optimize, theta_for
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .sim import SimConfig, SimReport
 
 
@@ -41,45 +43,146 @@ def run(sim_cfg: SimConfig, phy: PhyConfig, net: NetworkConfig) -> SimReport:
     return simulate(sim_cfg, phy, net)
 
 
+def _number(key: str, value: Any) -> float:
+    """A finite JSON number, as a float; refuses a bool, a string, NaN and Infinity."""
+    # type(), not isinstance(), since a bool is an int; the bounds also
+    # refuse NaN and an integer too large for a float
+    if type(value) not in (int, float) or not -sys.float_info.max <= value <= sys.float_info.max:
+        raise BadConfig(f"{key} must be a finite JSON number, got {value!r}")
+    return float(value)
+
+
+def _integer(key: str, value: Any) -> int:
+    """A finite JSON number without a fractional part, as an int."""
+    if not _number(key, value).is_integer():
+        raise BadConfig(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _list_of(item: Callable[[str, Any], Any]) -> Callable[[str, Any], list]:
+    """A field reader for a non-empty JSON array, each entry read by ``item``."""
+
+    def read(key: str, value: Any) -> list:
+        if not isinstance(value, list) or not value:
+            raise BadConfig(f"{key} must be a non-empty JSON array, got {value!r}")
+        return [item(key, v) for v in value]
+
+    return read
+
+
+_numbers = _list_of(_number)
+_integers = _list_of(_integer)
+
+
+def _text(key: str, value: Any) -> str:
+    if not isinstance(value, str):
+        raise BadConfig(f"{key} must be a JSON string, got {value!r}")
+    return value
+
+
+def _object(key: str, value: Any) -> dict:
+    if not isinstance(value, dict):
+        raise BadConfig(f"{key} must be a JSON object")
+    return value
+
+
+def _read(section: str, doc: Any, readers: dict, required: tuple[str, ...]) -> dict:
+    """The fields of one spec section, each passed through its field reader.
+
+    Refuses a ``doc`` that is not a JSON object, a key that ``readers``
+    lacks (which would otherwise be ignored) and a missing ``required``
+    key.  A reader is called with the name its messages give the field:
+    ``phy.alpha`` inside a section, the bare key at the top level and
+    directly under ``params``.  Absent optional keys stay absent.
+    """
+    _object(section, doc)
+    for key in doc:
+        if key not in readers:
+            raise BadConfig(f"{section} has unknown key {key!r}; known keys: {', '.join(readers)}")
+    for key in required:
+        if key not in doc:
+            raise BadConfig(f"{section} is missing required key {key!r}")
+    prefix = "" if section in ("spec", "params") else f"{section}."
+    return {key: readers[key](prefix + key, value) for key, value in doc.items()}
+
+
+def _section(readers: dict, required: tuple[str, ...]) -> Callable[[str, Any], dict]:
+    """A field reader for a nested section, named by its field."""
+    return lambda key, doc: _read(key, doc, readers, required)
+
+
+def _pattern(**classes: str) -> Callable[[str, Any], Any]:
+    """A field reader for a pattern: its ``type`` picks a class of ``ehaoi.sim``, whose fields it reads."""
+
+    def read(key: str, doc: Any) -> Any:
+        from . import sim
+
+        name = _text(f"{key}.type", _object(key, doc).get("type"))
+        if name not in classes:
+            raise BadConfig(f"unknown {key} pattern {name!r}")
+        cls = getattr(sim, classes[name])
+        readers = {f.name: _integer if f.type in (int, "int") else _number
+                   for f in dataclasses.fields(cls)}
+        fields = _read(key, doc, {"type": _text, **readers}, tuple(readers))
+        del fields["type"]
+        return cls(**fields)
+
+    return read
+
+
+_NET = {"density": _number, "N": _integer, "B": _integer, "xi": _number, "eta": _number}
+_NET_SECTION = _section(_NET, tuple(_NET))
+_PHY_SECTION = _section(
+    {"alpha": _number, "r": _number, "snr_db": _number, "tx_snr": _number, "theta": _number,
+     "eps": _number, "target_rate": _number, "bits_per_unit": _integer},
+    ("alpha", "r", "eps"),
+)
+_SIM_SECTION = _section(
+    {"slots": _integer, "realizations": _integer, "seed": _integer, "side": _number,
+     "warmup": _integer,
+     "arrivals": _pattern(bernoulli="BernoulliArrivals", binomial="BinomialArrivals",
+                          markov="TwoStateMarkovArrivals"),
+     "updates": _pattern(bernoulli="BernoulliUpdates", periodic="PeriodicUpdates")},
+    ("slots", "realizations", "side"),
+)
+_SPEC = {"name": _text, "kind": _text, "params": _object,
+         "sweep": _section({"name": _text, "values": _numbers}, ("name", "values")),
+         "output": _text}
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment: a kind, its parameter document, an optional sweep."""
+    """One experiment: a kind, its parameter document, an optional sweep.
+
+    ``params`` is the document as given, which the sidecar records;
+    ``args`` holds its fields as read, numbers as floats or ints.
+    """
 
     name: str
     kind: str
     params: dict
+    args: dict
     sweep: tuple[str, tuple[float, ...]] | None = None
     output: str | None = None
 
     @classmethod
     def from_dict(cls, doc: dict, fallback_name: str = "experiment") -> "ExperimentSpec":
-        _known("spec document", doc, ("name", "kind", "params", "sweep", "output"))
-        kind = doc.get("kind")
+        top = _read("spec", doc, _SPEC, ("kind",))
+        kind = top["kind"]
         if kind not in _RUNNERS:
             raise BadConfig(f"kind must be one of {tuple(_RUNNERS)}, got {kind!r}")
-        _, param_keys, sweeps = _RUNNERS[kind]
-        sweep = None
-        if doc.get("sweep") is not None:
-            if not sweeps:
-                raise BadConfig(f"kind {kind} reads no 'sweep' section; remove it")
-            sw = doc["sweep"]
-            try:
-                values = tuple(float(v) for v in sw["values"])
-                sweep = (str(sw["name"]), values)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise BadConfig(f"malformed sweep section: {exc}") from exc
-            if not values:
-                raise BadConfig("sweep values must be non-empty")
-            if any(not math.isfinite(v) for v in values):
-                raise BadConfig("sweep values must be finite")
-        params = doc.get("params", {})
-        _known("params", params, param_keys)
+        _, readers, required, sweeps = _RUNNERS[kind]
+        if "sweep" in top and not sweeps:
+            raise BadConfig(f"kind {kind} reads no 'sweep' section; remove it")
+        params = top.get("params", {})
+        sweep = top.get("sweep")
         return cls(
-            name=str(doc.get("name", fallback_name)),
+            name=top.get("name", fallback_name),
             kind=kind,
             params=params,
-            sweep=sweep,
-            output=doc.get("output"),
+            args=_read("params", params, readers, required),
+            sweep=None if sweep is None else (sweep["name"], tuple(sweep["values"])),
+            output=top.get("output"),
         )
 
 
@@ -97,134 +200,35 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _integer(key: str, value: Any) -> int:
-    """``int(value)``, refusing a fractional number rather than truncating it."""
-    if isinstance(value, float) and not value.is_integer():
-        raise BadConfig(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _object(section: str, doc: Any) -> None:
-    """Refuse a spec section that is not a JSON object."""
-    if not isinstance(doc, dict):
-        raise BadConfig(f"{section} must be a JSON object")
-
-
-def _known(section: str, doc: Any, keys: tuple[str, ...]) -> None:
-    """Refuse a non-object ``doc``, or a key of it outside ``keys``, which would otherwise be ignored."""
-    _object(section, doc)
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        raise BadConfig(f"{section} has unknown key {unknown[0]!r}; known keys: {', '.join(keys)}")
-
-
-_PHY_KEYS = ("alpha", "r", "snr_db", "tx_snr", "theta", "eps", "target_rate", "bits_per_unit")
-_NET_KEYS = ("density", "N", "B", "xi", "eta")
-_SIM_KEYS = ("slots", "realizations", "seed", "side", "warmup", "arrivals", "updates")
-
-
-def _phy_from_params(params: dict, n_units: int | None = None, retune: bool = False) -> PhyConfig:
-    """The phy section; ``retune`` solves theta for ``n_units`` even when one is given."""
-    doc = params.get("phy")
-    if doc is None:
-        raise BadConfig("params.phy section is required")
-    _known("phy", doc, _PHY_KEYS)
-    try:
-        snr = float(doc["snr_db"]) if "snr_db" in doc else None
-        tx_snr = db_to_linear(snr) if snr is not None else float(doc["tx_snr"])
-        theta = doc.get("theta")
-        target_rate = doc.get("target_rate")
-        bits = doc.get("bits_per_unit")
-        coded = target_rate is not None and bits is not None and n_units is not None
-        if theta is None or (retune and coded):
-            if not coded:
-                raise BadConfig(
-                    "phy.theta missing: provide it or target_rate+bits_per_unit with a net.N"
-                )
-            coding = CodingConfig(k=_integer("phy.bits_per_unit", bits), N=n_units,
-                                  target_rate=float(target_rate), eps=float(doc["eps"]))
-            theta = effective_threshold_exact(coding)
-        return PhyConfig(
-            alpha=float(doc["alpha"]),
-            r=float(doc["r"]),
-            tx_snr=tx_snr,
-            theta=float(theta),
-            eps=float(doc["eps"]),
-            target_rate=None if target_rate is None else float(target_rate),
-            bits_per_unit=None if bits is None else _integer("phy.bits_per_unit", bits),
-        )
-    except KeyError as exc:
-        raise BadConfig(f"phy section missing key {exc}") from exc
-
-
-def _net_from_params(params: dict) -> NetworkConfig:
-    doc = params.get("net")
-    if doc is None:
-        raise BadConfig("params.net section is required")
-    _known("net", doc, _NET_KEYS)
-    try:
-        return NetworkConfig(
-            density=float(doc["density"]),
-            N=_integer("net.N", doc["N"]),
-            B=_integer("net.B", doc["B"]),
-            xi=float(doc["xi"]),
-            eta=float(doc["eta"]),
-        )
-    except KeyError as exc:
-        raise BadConfig(f"net section missing key {exc}") from exc
-
-
-def _pattern_from(doc: dict | None, patterns: dict, key: str):
-    """The pattern its ``type`` names, each field read from the key of its name."""
-    if doc is None:
-        return None
-    _object(key, doc)
-    cls = patterns.get(doc.get("type"))
-    if cls is None:
-        raise BadConfig(f"unknown {key} pattern {doc.get('type')!r}")
-    _known(key, doc, ("type", *(f.name for f in dataclasses.fields(cls))))
-    return cls(**{f.name: _integer(f"{key}.{f.name}", doc[f.name]) if f.type in (int, "int")
-                  else float(doc[f.name]) for f in dataclasses.fields(cls)})
-
-
-def _sim_from_params(params: dict, seed_override: int | None) -> SimConfig | None:
-    doc = params.get("sim")
-    if doc is None:
-        return None
-    _known("sim", doc, _SIM_KEYS)
-    from .sim import (
-        BernoulliArrivals,
-        BernoulliUpdates,
-        BinomialArrivals,
-        PeriodicUpdates,
-        SimConfig,
-        TwoStateMarkovArrivals,
+def _phy(doc: dict, n_units: int) -> PhyConfig:
+    """The phy section as read; a missing theta is solved for ``n_units`` energy units."""
+    if "snr_db" not in doc and "tx_snr" not in doc:
+        raise BadConfig("phy needs snr_db or tx_snr")
+    phy = PhyConfig(
+        alpha=doc["alpha"],
+        r=doc["r"],
+        tx_snr=db_to_linear(doc["snr_db"]) if "snr_db" in doc else doc["tx_snr"],
+        theta=doc.get("theta", 1.0),  # a stand-in until theta_for replaces it
+        eps=doc["eps"],
+        target_rate=doc.get("target_rate"),
+        bits_per_unit=doc.get("bits_per_unit"),
     )
+    return phy if "theta" in doc else dataclasses.replace(phy, theta=theta_for(phy, n_units))
 
-    arrivals = {"bernoulli": BernoulliArrivals, "binomial": BinomialArrivals,
-                "markov": TwoStateMarkovArrivals}
-    updates = {"bernoulli": BernoulliUpdates, "periodic": PeriodicUpdates}
-    try:
-        seed = seed_override if seed_override is not None else _integer("sim.seed", doc.get("seed", 0))
-        return SimConfig(
-            slots=_integer("sim.slots", doc["slots"]),
-            realizations=_integer("sim.realizations", doc["realizations"]),
-            seed=seed,
-            side=float(doc["side"]),
-            warmup=_integer("sim.warmup", doc["warmup"]) if "warmup" in doc else None,
-            arrivals=_pattern_from(doc.get("arrivals"), arrivals, "sim.arrivals"),
-            updates=_pattern_from(doc.get("updates"), updates, "sim.updates"),
-        )
-    except KeyError as exc:
-        raise BadConfig(f"sim section missing key {exc}") from exc
+
+def _sim_config(doc: dict | None, seed_override: int | None) -> SimConfig | None:
+    if doc is None:
+        return None
+    from .sim import SimConfig
+
+    seed = seed_override if seed_override is not None else doc.get("seed", 0)
+    return SimConfig(**{**doc, "seed": seed})
 
 
 def _set_param(net: NetworkConfig, name: str, value: float) -> NetworkConfig:
-    if name not in _NET_KEYS:
+    if name not in _NET:
         raise BadConfig(f"unknown sweep parameter {name!r}")
-    kw = dataclasses.asdict(net)
-    kw[name] = _integer(f"sweep value of {name}", value) if name in ("N", "B") else value
-    return NetworkConfig(**kw)
+    return dataclasses.replace(net, **{name: _NET[name](f"sweep value of {name}", value)})
 
 
 def _analytic_aoi(net: NetworkConfig, phy: PhyConfig, formula: str) -> float:
@@ -236,7 +240,7 @@ def _analytic_aoi(net: NetworkConfig, phy: PhyConfig, formula: str) -> float:
 
 
 def _run_steady_state(spec: ExperimentSpec, seed_override):
-    cfg = _net_from_params(spec.params).chain
+    cfg = NetworkConfig(**spec.args["net"]).chain
     # the closed_form column is the exact cut recursion, numeric the Hessenberg oracle
     exact = steady_state(cfg)
     numeric = solve_steady_numeric(build_transition_matrix(cfg))
@@ -249,25 +253,14 @@ def _run_steady_state(spec: ExperimentSpec, seed_override):
 
 
 def _run_threshold(spec: ExperimentSpec, seed_override):
-    p = spec.params
+    p = spec.args
     if "eps" in p and "eps_values" in p:
         raise BadConfig("threshold params hold both 'eps' and 'eps_values'; keep one")
-    try:
-        k = _integer("bits_per_unit", p["bits_per_unit"])
-        target_rate = float(p["target_rate"])
-        n_values = [_integer("n_values", v) for v in p.get("n_values", [1])]
-        eps_values = [float(v) for v in p.get("eps_values", [p.get("eps", 1e-6)])]
-    except KeyError as exc:
-        raise BadConfig(f"threshold params missing {exc}") from exc
-    if not n_values:
-        raise BadConfig("threshold n_values must be non-empty")
-    if not eps_values:
-        raise BadConfig("threshold eps_values must be non-empty")
     header = ["blocklength", "eps", "exact", "approx", "abs_gap"]
     rows = []
-    for n in n_values:
-        for eps in eps_values:
-            coding = CodingConfig(k=k, N=n, target_rate=target_rate, eps=eps)
+    for n in p.get("n_values", [1]):
+        for eps in p.get("eps_values", [p.get("eps", 1e-6)]):
+            coding = CodingConfig(k=p["bits_per_unit"], N=n, target_rate=p["target_rate"], eps=eps)
             exact = effective_threshold_exact(coding)
             approx = effective_threshold_approx(coding)
             rows.append([coding.blocklength, eps, exact, approx, approx - exact])
@@ -275,20 +268,21 @@ def _run_threshold(spec: ExperimentSpec, seed_override):
 
 
 def _run_curve(spec: ExperimentSpec, seed_override):
-    params = spec.params
-    sweep = spec.sweep or ("B", tuple())
-    name, values = sweep
-    if not values:
+    if spec.sweep is None:
         raise BadConfig(f"kind {spec.kind} requires a sweep section")
-    base_net = _net_from_params(params)
+    params = spec.args
+    name, values = spec.sweep
+    base_net = NetworkConfig(**params["net"])
     formula = params.get("formula", "general")
-    sim_cfg = _sim_from_params(params, seed_override)
+    sim_cfg = _sim_config(params.get("sim"), seed_override)
     header = [name, "analytic_aoi", "sim_aoi", "sim_ci"]
     rows = []
     for value in values:
         net = _set_param(base_net, name, value)
-        # sweeping N moves the blocklength, so the threshold must follow
-        phy = _phy_from_params(params, n_units=net.N, retune=name == "N")
+        phy = _phy(params["phy"], net.N)
+        if name == "N" and phy.target_rate is not None and phy.bits_per_unit is not None:
+            # sweeping N moves the blocklength, so a given theta must follow it too
+            phy = dataclasses.replace(phy, theta=theta_for(phy, net.N))
         analytic = _analytic_aoi(net, phy, formula)
         if sim_cfg is None:
             rows.append([value, analytic, "", ""])
@@ -299,13 +293,11 @@ def _run_curve(spec: ExperimentSpec, seed_override):
 
 
 def _run_optimize(spec: ExperimentSpec, seed_override):
-    params = spec.params
-    base_net = _net_from_params(params)
-    phy = _phy_from_params(params, n_units=base_net.N)
-    if phy.target_rate is None or phy.bits_per_unit is None:
-        raise BadConfig("optimize requires phy.target_rate and phy.bits_per_unit")
-    sweep = spec.sweep or ("density", (base_net.density,))
-    name, values = sweep
+    params = spec.args
+    base_net = NetworkConfig(**params["net"])
+    # theta_for refuses a phy without target_rate and bits_per_unit
+    phy = _phy(params["phy"], base_net.N)
+    name, values = spec.sweep or ("density", (base_net.density,))
     header = [name, "aoi_star", "eta_star", "n_star", "regime"]
     rows = []
     for value in values:
@@ -315,12 +307,10 @@ def _run_optimize(spec: ExperimentSpec, seed_override):
 
 
 def _run_simulate(spec: ExperimentSpec, seed_override):
-    params = spec.params
-    net = _net_from_params(params)
-    phy = _phy_from_params(params, n_units=net.N)
-    sim_cfg = _sim_from_params(params, seed_override)
-    if sim_cfg is None:
-        raise BadConfig("simulate requires a params.sim section")
+    params = spec.args
+    net = NetworkConfig(**params["net"])
+    phy = _phy(params["phy"], net.N)
+    sim_cfg = _sim_config(params["sim"], seed_override)
     report = run(sim_cfg, phy, net)
     header = ["network_aoi", "ci_halfwidth", "empirical_mu", "empirical_inv_mu",
               "interval_mean", "interval_second", "slots_measured"]
@@ -339,15 +329,20 @@ def _run_simulate(spec: ExperimentSpec, seed_override):
     return header, [row], {"seed": sim_cfg.seed}
 
 
-# kind -> (runner, the params keys it reads, whether it reads a sweep); each
-# runner maps (spec, seed override) to (header, rows, sidecar extras)
+_PHY_NET = {"phy": _PHY_SECTION, "net": _NET_SECTION}
+# kind -> (runner, its params table, the required params keys, whether it
+# reads a sweep); each runner maps (spec, seed override) to (header, rows,
+# sidecar extras)
 _RUNNERS = {
-    "steady_state": (_run_steady_state, ("net",), False),
-    "threshold": (_run_threshold, ("bits_per_unit", "target_rate", "n_values", "eps_values", "eps"),
-                  False),
-    "aoi_curve": (_run_curve, ("phy", "net", "formula", "sim"), True),
-    "optimize": (_run_optimize, ("phy", "net"), True),
-    "simulate": (_run_simulate, ("phy", "net", "sim"), False),
+    "steady_state": (_run_steady_state, {"net": _NET_SECTION}, ("net",), False),
+    "threshold": (_run_threshold,
+                  {"bits_per_unit": _integer, "target_rate": _number, "n_values": _integers,
+                   "eps_values": _numbers, "eps": _number},
+                  ("bits_per_unit", "target_rate"), False),
+    "aoi_curve": (_run_curve, {**_PHY_NET, "formula": _text, "sim": _SIM_SECTION},
+                  ("phy", "net"), True),
+    "optimize": (_run_optimize, _PHY_NET, ("phy", "net"), True),
+    "simulate": (_run_simulate, {**_PHY_NET, "sim": _SIM_SECTION}, ("phy", "net", "sim"), False),
 }
 
 
@@ -378,16 +373,6 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path = ".", seed: int | 
     return [csv_path, sidecar_path]
 
 
-_NON_FINITE = object()  # what a NaN or Infinity literal in a spec parses to
-
-
-def _finite_fields(pairs: list[tuple[str, Any]]) -> dict:
-    for key, value in pairs:
-        if value is _NON_FINITE or (isinstance(value, list) and _NON_FINITE in value):
-            raise BadConfig(f"{key} must be finite")
-    return dict(pairs)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="ehaoi",
@@ -402,13 +387,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         with open(args.spec, encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=lambda _: _NON_FINITE, object_pairs_hook=_finite_fields)
+            doc = json.load(fh)
         spec = ExperimentSpec.from_dict(doc, fallback_name=Path(args.spec).stem)
         run_experiment(spec, out_dir=args.out, seed=args.seed, quiet=args.quiet)
     except EhAoiError as exc:  # each type carries its exit code and label
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:  # the config constructors refuse values this way
         print(f"bad-config: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

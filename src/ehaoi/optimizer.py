@@ -16,7 +16,8 @@ from functools import lru_cache
 
 from .aoi import NetworkConfig, PhyConfig, network_aoi_large_buffer, omega
 from .errors import IterationBudgetExceeded, SaturatedAccess, bisect_increasing
-from .fbl import CodingConfig, effective_threshold_approx, effective_threshold_exact
+# effective_threshold_approx is unused here; bench/spans.py traces it under this module
+from .fbl import CodingConfig, effective_threshold_approx, effective_threshold_exact  # noqa: F401
 
 _TOL = 1e-6  # the ESR search stops when the objective moves less than this
 _MAX_ITER = 50  # ESR half-steps before IterationBudgetExceeded
@@ -28,6 +29,7 @@ __all__ = [
     "optimal_eta_esr_cubic",
     "clamp_eta_esr",
     "optimal_n_esr",
+    "theta_for",
     "esr_search",
     "ecr_search",
     "optimize",
@@ -102,11 +104,12 @@ def optimal_n_esr(xi: float, eta: float) -> int:
     return max(1, math.floor(xi / eta))
 
 
-def _theta_for(phy: PhyConfig, n: int, exact: bool = True) -> float:
+def theta_for(phy: PhyConfig, n: int) -> float:
+    """Exact decoding threshold of ``phy``'s code at ``n`` energy units per packet, cached."""
     if phy.target_rate is None or phy.bits_per_unit is None:
-        raise ValueError("phy.target_rate and phy.bits_per_unit are required to retune theta")
+        raise ValueError("phy.target_rate and phy.bits_per_unit are required to solve theta for N")
     cfg = CodingConfig(k=phy.bits_per_unit, N=n, target_rate=phy.target_rate, eps=phy.eps)
-    return _exact_threshold(cfg) if exact else effective_threshold_approx(cfg)
+    return _exact_threshold(cfg)
 
 
 @lru_cache(maxsize=4096)
@@ -115,11 +118,7 @@ def _exact_threshold(cfg: CodingConfig) -> float:
     return effective_threshold_exact(cfg)
 
 
-def esr_search(
-    phy_base: PhyConfig,
-    net_base: NetworkConfig,
-    exact_threshold: bool = True,
-) -> OptimumResult:
+def esr_search(phy_base: PhyConfig, net_base: NetworkConfig) -> OptimumResult:
     """Alternating (eta, N) optimization in the energy-sufficient regime.
 
     Each half-step solves its one-dimensional subproblem exactly (update
@@ -136,14 +135,14 @@ def esr_search(
     # iteration, mirroring the alternating scheme's own bookkeeping
     for it in range(1, _MAX_ITER + 1):
         if it % 2 == 1:
-            phy_n = replace(phy_base, theta=_theta_for(phy_base, n, exact_threshold))
+            phy_n = replace(phy_base, theta=theta_for(phy_base, n))
             om = omega(phy_n.theta, phy_n.alpha)
             eta = clamp_eta_esr(
                 optimal_eta_esr(net_base.density, om, phy_n.r, phy_n.alpha), xi, n
             )
         else:
             n = min(optimal_n_esr(xi, eta), net_base.B)
-            phy_n = replace(phy_base, theta=_theta_for(phy_base, n, exact_threshold))
+            phy_n = replace(phy_base, theta=theta_for(phy_base, n))
         probe = NetworkConfig(density=net_base.density, N=n, B=net_base.B, xi=xi, eta=eta)
         aoi = network_aoi_large_buffer(probe, phy_n)
         trace.append((it, eta, n, aoi))
@@ -154,11 +153,7 @@ def esr_search(
     raise IterationBudgetExceeded(f"energy-sufficient search open after {_MAX_ITER} iterations")
 
 
-def ecr_search(
-    phy_base: PhyConfig,
-    net_base: NetworkConfig,
-    exact_threshold: bool = True,
-) -> OptimumResult:
+def ecr_search(phy_base: PhyConfig, net_base: NetworkConfig) -> OptimumResult:
     """Forward scan over N at eta = 1 in the energy-constrained regime.
 
     The greedy objective either increases monotonically or has a single
@@ -172,7 +167,7 @@ def ecr_search(
     best_n = 1
     trace: list[tuple[int, float, int, float]] = []
     for n in range(1, min(_N_UPPER, net_base.B) + 1):
-        phy_n = replace(phy_base, theta=_theta_for(phy_base, n, exact_threshold))
+        phy_n = replace(phy_base, theta=theta_for(phy_base, n))
         probe = NetworkConfig(
             density=net_base.density, N=n, B=net_base.B, xi=net_base.xi, eta=1.0
         )

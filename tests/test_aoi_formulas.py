@@ -96,6 +96,14 @@ def test_inv_success_overflow_is_saturation():
         inv_success_moment(PHY_13DB, net, 0.3)
 
 
+@pytest.mark.parametrize("field, value", [("alpha", 1e300), ("r", 1e200)])
+def test_path_loss_overflow_is_saturation(field, value):
+    # r**alpha (and r**2) overflow a float before the exponential is reached
+    net = NetworkConfig(density=0.01, N=2, B=30, xi=0.5, eta=0.3)
+    with pytest.raises(SaturatedAccess, match="exponent"):
+        inv_success_moment(replace(PHY_13DB, **{field: value}), net, 0.3)
+
+
 @pytest.mark.slow
 def test_inv_success_against_poisson_field_monte_carlo():
     rng = np.random.default_rng(321)

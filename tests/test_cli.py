@@ -1,14 +1,19 @@
 """CLI harness: spec parsing, CSV contracts, reproducibility, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ehaoi
 from ehaoi.cli import ExperimentSpec, main, run_experiment
@@ -278,9 +283,15 @@ def test_stray_spec_key_is_bad_config(tmp_path, capsys, doc, key):
     assert not list(out.glob("*.csv"))
 
 
-@pytest.mark.parametrize("key", ["n_values", "eps_values"])
-def test_empty_threshold_list_is_bad_config(tmp_path, capsys, key):
-    doc = _with(THRESHOLD_DOC, lambda d: d["params"].update({key: []}))
+@pytest.mark.parametrize("key, value", [
+    ("n_values", []),
+    ("eps_values", []),
+    ("n_values", "12"),
+    ("eps_values", "12"),
+], ids=["n_values", "eps_values", "n_values-string", "eps_values-string"])
+def test_empty_threshold_list_is_bad_config(tmp_path, capsys, key, value):
+    # a string is not iterated character by character into a list
+    doc = _with(THRESHOLD_DOC, lambda d: d["params"].update({key: value}))
     out = tmp_path / "out"
     assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
@@ -446,6 +457,15 @@ CURVE_PHY = {"alpha": 3.8, "r": 3.0, "snr_db": 20.0, "eps": 1e-6,
              "target_rate": 0.825, "bits_per_unit": 100}
 
 
+TRUNC_DOC = {
+    "name": "trunc",
+    "kind": "aoi_curve",
+    "params": {"phy": CURVE_PHY, "net": {"density": 0.01, "N": 2, "B": 30, "xi": 0.5, "eta": 0.3},
+               "sim": {"slots": 400, "realizations": 1, "side": 40.0}},
+    "sweep": {"name": "N", "values": [2.0, 3.0]},
+}
+
+
 @pytest.mark.parametrize("section, key, value, named", [
     ("net", "N", 2.9, "net.N"),
     ("net", "B", 30.7, "net.B"),
@@ -453,17 +473,47 @@ CURVE_PHY = {"alpha": 3.8, "r": 3.0, "snr_db": 20.0, "eps": 1e-6,
     ("sim", "slots", 400.5, "sim.slots"),
 ], ids=["net.N", "net.B", "sweep", "sim.slots"])
 def test_fractional_integer_field_is_bad_config(tmp_path, capsys, section, key, value, named):
-    doc = {
-        "name": "trunc",
-        "kind": "aoi_curve",
-        "params": {"phy": CURVE_PHY, "net": {"density": 0.01, "N": 2, "B": 30, "xi": 0.5, "eta": 0.3},
-                   "sim": {"slots": 400, "realizations": 1, "side": 40.0}},
-        "sweep": {"name": "N", "values": [2.0, 3.0]},
-    }
+    doc = json.loads(json.dumps(TRUNC_DOC))
     (doc if section == "sweep" else doc["params"])[section][key] = value
     out = tmp_path / "out"
     assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
     assert f"{named} must be an integer" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+def test_n_sweep_solves_theta_only_at_the_swept_n(tmp_path):
+    # the base N = 1 gives a blocklength of 50, below the floor of 100;
+    # the threshold is solved at N = 2 and 3 only, so the spec runs
+    doc = {"name": "floor", "kind": "aoi_curve",
+           "params": {"phy": {**CURVE_PHY, "bits_per_unit": 50},
+                      "net": {"density": 0.01, "N": 1, "B": 30, "xi": 0.5, "eta": 0.3}},
+           "sweep": {"name": "N", "values": [2, 3]}}
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 0
+    _, rows = read_csv(out / "floor.csv")
+    assert [row[0] for row in rows] == ["2", "3"]
+
+
+@pytest.mark.parametrize("section, key, value, named", [
+    ("net", "N", True, "net.N"),
+    ("net", "xi", True, "net.xi"),
+    ("net", "density", "0.01", "net.density"),
+    ("phy", "bits_per_unit", "100", "phy.bits_per_unit"),
+    ("sweep", "values", [True], "sweep.values"),
+    ("sweep", "values", "48", "sweep.values"),
+    (None, "output", 5, "output"),
+    (None, "name", ["trunc"], "name"),
+], ids=["net.N-bool", "net.xi-bool", "net.density-string", "phy.bits_per_unit-string",
+        "sweep-bool", "sweep-string", "output-number", "name-list"])
+def test_mistyped_field_is_bad_config(tmp_path, capsys, section, key, value, named):
+    # a bool or a numeric string is not coerced into a number, nor a
+    # string iterated into a list
+    doc = json.loads(json.dumps(TRUNC_DOC))
+    target = doc if section is None else (doc if section == "sweep" else doc["params"])[section]
+    target[key] = value
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"bad-config: {named} must be ")
     assert not list(out.glob("*.csv"))
 
 
@@ -493,6 +543,69 @@ def test_overflowing_success_moment_is_out_of_regime(tmp_path, capsys):
     assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 3
     assert "exponent" in capsys.readouterr().err
     assert not list(out.glob("*.csv"))
+
+
+RECIPES = Path(__file__).resolve().parents[1] / "recipes"
+# every spec that runs without the simulator, so no draw can start a long run
+ANALYTIC_DOCS = [doc for doc in (json.loads(p.read_text()) for p in sorted(RECIPES.glob("*.json")))
+                 if "sim" not in doc["params"]] + [THRESHOLD_DOC, STEADY_DOC]
+# a wrongly typed value for any field; none is a large size, which would allocate
+MUTANTS = {"string": "x", "bool": True, "null": None, "list": [], "object": {}, "string list": ["x"]}
+TEXT_KEYS = {"name", "kind", "output", "formula"}  # a string is the right type for these
+REQUIRED = {("kind",), ("params", "phy"), ("params", "net"), ("params", "bits_per_unit"),
+            ("params", "target_rate"), ("sweep", "name"), ("sweep", "values"),
+            *(("params", "phy", key) for key in ("alpha", "r", "eps")),
+            *(("params", "net", key) for key in ("density", "N", "B", "xi", "eta"))}
+
+
+def _paths(doc, prefix=()):
+    """The path of every field of ``doc``, the sections' own included."""
+    for key, value in doc.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _paths(value, (*prefix, key))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _label(path):
+    """How a bad-config message names the field or section at ``path``."""
+    if not path:
+        return "spec"
+    return ".".join(path[1:] if path[0] == "params" and len(path) > 1 else path)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_spec_is_bad_config(data):
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(ANALYTIC_DOCS), label="doc")))
+    paths = list(_paths(doc))
+    how = data.draw(st.sampled_from([*MUTANTS, "drop", "add"]), label="mutation")
+    if how == "drop":
+        path = data.draw(st.sampled_from([p for p in paths if p in REQUIRED]), label="path")
+        del _at(doc, path[:-1])[path[-1]]
+    elif how == "add":
+        sections = [(), *(p for p in paths if isinstance(_at(doc, p), dict))]
+        path = (*data.draw(st.sampled_from(sections), label="section"), "surplus")
+        _at(doc, path[:-1])[path[-1]] = 1.0
+    else:
+        fields = [p for p in paths if how != "string" or p[-1] not in TEXT_KEYS]
+        path = data.draw(st.sampled_from(fields), label="path")
+        _at(doc, path[:-1])[path[-1]] = MUTANTS[how]
+    named = _label(path if how in MUTANTS else path[:-1])
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = write_spec(Path(tmp), doc)
+        with contextlib.redirect_stderr(err):  # an exception escaping main fails the test
+            status = main(["--spec", str(spec), "--out", str(Path(tmp) / "out"), "--quiet"])
+        assert not list(Path(tmp).glob("out/*.csv"))
+    message = err.getvalue()
+    assert status == 2 and message.startswith(f"bad-config: {named} "), message
+    assert how in MUTANTS or repr(path[-1]) in message, message
 
 
 def test_main_happy_path(tmp_path, capsys):
