@@ -14,7 +14,8 @@ inputs with :func:`db_to_linear` where they enter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import wraps
 
 from .energy_chain import (
     EnergyChainConfig,
@@ -23,7 +24,7 @@ from .energy_chain import (
     char_root_approx,
     prob_energy_sufficient,
 )
-from .errors import NeverSufficient, SaturatedAccess, fold_sum, require_finite
+from .errors import NeverSufficient, OutOfRegime, SaturatedAccess, require_finite
 
 __all__ = [
     "PhyConfig",
@@ -180,10 +181,9 @@ def interval_moments(ss: SteadyState, cfg: EnergyChainConfig) -> IntervalMoments
     def s_at(level: int) -> float:
         return ss.probs[level] if level <= ss.levels else 0.0
 
-    # left to right, so the bits do not depend on the Python version
-    acc1 = fold_sum((n - i - xi) * s_at(n + i) for i in range(n))
-    acc2 = fold_sum((n - i) * (n - i + 1.0 - 3.0 * xi) * s_at(n + i) for i in range(n))
-    accp = fold_sum(s_at(n + i) for i in range(n))
+    acc1 = math.fsum((n - i - xi) * s_at(n + i) for i in range(n))
+    acc2 = math.fsum((n - i) * (n - i + 1.0 - 3.0 * xi) * s_at(n + i) for i in range(n))
+    accp = math.fsum(s_at(n + i) for i in range(n))
     mean = 1.0 / eta + acc1 / (xi * p_suf)
     second = (
         (2.0 - eta) / eta**2
@@ -194,6 +194,28 @@ def interval_moments(ss: SteadyState, cfg: EnergyChainConfig) -> IntervalMoments
     return IntervalMoments(mean=mean, second=second)
 
 
+def _finite_age(formula):
+    """``formula``, raising OutOfRegime where its age is not a finite float.
+
+    Every divisor inside an age formula is a positive rate or moment, so a
+    zero one is a product of rates that underflowed (xi or eta far below
+    1e-100); such updates are too rare for a float to hold their age.
+    """
+
+    @wraps(formula)
+    def checked(*args, **kwargs):
+        try:
+            age = formula(*args, **kwargs)
+        except (ZeroDivisionError, OverflowError):
+            age = math.nan
+        if not math.isfinite(age):
+            raise OutOfRegime(f"{formula.__name__}: the age overflows a float; updates are too rare")
+        return age
+
+    return checked
+
+
+@_finite_age
 def network_aoi_general(ss: SteadyState, net: NetworkConfig, phy: PhyConfig) -> float:
     """Network average AoI for an arbitrary buffer size [slots].
 
@@ -231,6 +253,7 @@ def small_buffer_split(net: NetworkConfig, phy: PhyConfig) -> tuple[float, float
     return sa, rectification
 
 
+@_finite_age
 def network_aoi_small_buffer(net: NetworkConfig, phy: PhyConfig) -> float:
     """Closed-form network average AoI for the single-transmission buffer B = N."""
     if net.B != net.N:
@@ -239,6 +262,7 @@ def network_aoi_small_buffer(net: NetworkConfig, phy: PhyConfig) -> float:
     return sa + rectification
 
 
+@_finite_age
 def network_aoi_greedy(net: NetworkConfig, phy: PhyConfig) -> float:
     """Closed-form network average AoI under greedy updating (eta = 1, any B >= N)."""
     if net.eta != 1.0:
@@ -263,6 +287,7 @@ def zeta_rectification(n: int, eta: float, xi: float, z: float) -> float:
     )
 
 
+@_finite_age
 def network_aoi_large_buffer(
     net: NetworkConfig, phy: PhyConfig, use_approx_root: bool = False
 ) -> float:
@@ -293,6 +318,5 @@ def aoi_scaling_large_n(net: NetworkConfig, phy: PhyConfig) -> float:
     set to the infinite-blocklength threshold 2^R_t - 1 (interference
     vanishes at rate 1/N and is dropped here).
     """
-    return (net.N / (2.0 * net.xi)) * (
-        2.0 * math.exp(phy.noise_exponent) / (1.0 - phy.eps) - 1.0
-    )
+    noise_only = inv_success_moment(phy, replace(net, density=0.0), 0.0)
+    return (net.N / (2.0 * net.xi)) * (2.0 * noise_only - 1.0)

@@ -13,11 +13,9 @@ checked against.  The oracle works on the transition matrix held by its
 N+2 bands, lists of floats, since a level gains at most one unit and
 loses N or N-1 per slot, so it too takes O(B N) time and memory.
 
-Everything here runs on Python floats.  Sums that end in a result are
-taken in a fixed order: normalizers by numpy's pairwise scheme, so the
-bits equal those of numpy's ``sum``, and short running sums left to right.
-Only the large-buffer closed form imports numpy, for its companion-matrix
-roots and its small complex solve.
+Everything here runs on Python floats, and every sum is ``math.fsum``,
+exactly rounded.  Only the large-buffer closed form imports numpy, for its
+companion-matrix roots and its small complex solve.
 """
 
 from __future__ import annotations
@@ -26,14 +24,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import (
-    NonConvergence,
-    NotRecurrent,
-    OutOfRegime,
-    bisect_increasing,
-    fold_sum,
-    pairwise_sum,
-)
+from .errors import NonConvergence, NotRecurrent, OutOfRegime, bisect_increasing
 
 __all__ = [
     "EnergyChainConfig",
@@ -109,7 +100,7 @@ class SteadyState:
         # written so that a NaN fails both checks
         if not all(p >= -1e-12 for p in self.probs):
             raise ValueError("stationary probabilities must be non-negative")
-        total = pairwise_sum(self.probs) + self.tail_mass
+        total = math.fsum(self.probs) + self.tail_mass
         if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"stationary mass is {total!r}, expected 1")
 
@@ -119,7 +110,7 @@ class SteadyState:
 
 
 def _normalized(raw: Sequence[float]) -> list[float]:
-    total = pairwise_sum(raw)
+    total = math.fsum(raw)
     return [v / total for v in raw]
 
 
@@ -226,7 +217,7 @@ def solve_steady_numeric(bands: Sequence[Sequence[float]], tol: float = 1e-12) -
     suffix = 0.0  # sum of s right of row k's band, s[k + w:]
     for k in range(m - 1, -1, -1):
         row = U[k]
-        dot = pairwise_sum([row[t] * s[k + t] for t in range(1, w)])
+        dot = math.fsum([row[t] * s[k + t] for t in range(1, w)])
         s[k] = (rhs[k] - dot - U_tail[k] * suffix) / row[0]
         suffix += s[k + w - 1]
     del s[m:]
@@ -315,7 +306,7 @@ def char_root_approx(n: int, xi: float, eta: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _finalize(raw: list[float]) -> SteadyState:
-    total = pairwise_sum(raw)
+    total = math.fsum(raw)
     if abs(total - 1.0) > _MASS_TOL:
         raise NonConvergence(
             f"closed-form mass {total!r} deviates from 1 beyond {_MASS_TOL}"
@@ -532,7 +523,7 @@ def steady_infinite_buffer(cfg: EnergyChainConfig) -> SteadyState:
     for i in range(n, top + 1):
         s[i] = head * z ** (i - n)
     tail = xi * z ** (top + 1 - n) / (n * eta)
-    total = pairwise_sum(s) + tail
+    total = math.fsum(s) + tail
     if abs(total - 1.0) > _MASS_TOL:
         raise NonConvergence(f"infinite-buffer mass {total!r} deviates from 1")
     return SteadyState(probs=[v / total for v in s], tail_mass=tail / total)
@@ -553,9 +544,7 @@ def steady_state(cfg: EnergyChainConfig) -> SteadyState:
 
     with up(c) = xi for c < N and (1-eta) xi otherwise.  Every term is
     non-negative, so nothing cancels; the tail s[c:] is scaled down by
-    1e-100 whenever a value passes 1e100.  O(B N) time.  Each cut sum is
-    taken left to right from 0.0 and the normalizer pairwise, so the bits
-    do not depend on the Python version.
+    1e-100 whenever a value passes 1e100.  O(B N) time.
 
     At N = 1, xi = eta = 1 every level >= 1 is absorbing and the law is not
     unique; the recursion returns the point mass on level 1.
@@ -563,16 +552,21 @@ def steady_state(cfg: EnergyChainConfig) -> SteadyState:
     n, xi, eta = cfg.N, cfg.xi, cfg.eta
     top = n if eta == 1.0 else cfg.B
     drop_n, drop_n1 = eta * (1.0 - xi), eta * xi
+    rise = (1.0 - eta) * xi  # up(c) from level N on
+    if rise == 0.0 and top > n:
+        raise OutOfRegime(f"xi (1 - eta) underflows a float at xi = {xi!r}, eta = {eta!r}")
     s = [0.0] * (cfg.B + 1)
     s[top] = 1.0
     for c in range(top - 1, -1, -1):
         lo = max(c + 1, n)
-        near = fold_sum(s[lo:c + n])
-        # one more term of the same left-to-right sum: s[lo:c + n + 1] adds s[c + n]
+        near = math.fsum(s[lo:c + n])
+        # level c + N crosses the cut only by dropping N units, so only far holds it
         far = near + s[c + n] if c + n <= cfg.B else near
         down = drop_n * far + drop_n1 * near
-        s[c] = down / (xi if c < n else (1.0 - eta) * xi)
+        s[c] = down / (xi if c < n else rise)
         if s[c] > 1e100:
+            if s[c] == math.inf:
+                raise OutOfRegime(f"the cut recursion overflows a float at xi = {xi!r}, eta = {eta!r}")
             s[c:] = [v * 1e-100 for v in s[c:]]
     return SteadyState(probs=_normalized(s))
 
@@ -583,4 +577,4 @@ def prob_energy_sufficient(ss: SteadyState, n: int) -> float:
         raise ValueError("n must be non-negative")
     if n > ss.levels:
         return float(ss.tail_mass)
-    return pairwise_sum(ss.probs[n:]) + ss.tail_mass
+    return math.fsum(ss.probs[n:]) + ss.tail_mass

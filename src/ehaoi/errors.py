@@ -2,15 +2,12 @@
 
 Each type carries the CLI exit code and stderr label it maps to, so
 raising the most specific type matters there; library callers can catch
-``EhAoiError`` for everything.  The helpers check config fields, bisect
-the monotone root finds of the energy chain, coding and optimizer, and sum
-floats in a fixed order, so that no result depends on the Python version.
+``EhAoiError`` for everything.  The helpers check config fields and
+bisect the monotone root finds of the energy chain, coding and optimizer.
 """
 
 import math
-from collections.abc import Callable, Iterable, Sequence
-from functools import reduce
-from operator import add
+from collections.abc import Callable
 
 
 def require_finite(owner: str, **fields: float | None) -> None:
@@ -38,54 +35,6 @@ def bisect_increasing(f: Callable[[float], float], lo: float, hi: float) -> floa
     return mid if hi < top else top
 
 
-def fold_sum(values: Iterable[float]) -> float:
-    """Left-to-right float sum from 0.0.
-
-    The builtin ``sum`` gives these bits up to Python 3.11; from 3.12 on it
-    compensates float sums, so it is not used for results.
-    """
-    return reduce(add, values, 0.0)
-
-
-def pairwise_sum(values: Sequence[float]) -> float:
-    """The float64 sum numpy's ``sum`` gives on a contiguous array, bit for bit.
-
-    numpy adds the result of its pairwise scheme to 0.0: fewer than 8 items
-    are added in order; up to 128 go to eight interleaved accumulators,
-    combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), before
-    the remainder is added in order; more are split at half the length
-    rounded down to a multiple of 8.
-    """
-    return 0.0 + _pairwise(values, 0, len(values))
-
-
-def _pairwise(a: Sequence[float], lo: int, n: int) -> float:
-    if n < 8:
-        res = 0.0
-        for i in range(lo, lo + n):
-            res += a[i]
-        return res
-    if n <= 128:
-        end = lo + n - n % 8
-        r0, r1, r2, r3, r4, r5, r6, r7 = a[lo:lo + 8]
-        for i in range(lo + 8, end, 8):
-            r0 += a[i]
-            r1 += a[i + 1]
-            r2 += a[i + 2]
-            r3 += a[i + 3]
-            r4 += a[i + 4]
-            r5 += a[i + 5]
-            r6 += a[i + 6]
-            r7 += a[i + 7]
-        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for i in range(end, lo + n):
-            res += a[i]
-        return res
-    half = n // 2
-    half -= half % 8
-    return _pairwise(a, lo, half) + _pairwise(a, lo + half, n - half)
-
-
 class EhAoiError(Exception):
     """Base class for all library-specific errors."""
 
@@ -101,7 +50,7 @@ class NonConvergence(EhAoiError):
 
 
 class OutOfRegime(EhAoiError):
-    """A closed form was requested outside its validity region."""
+    """A closed form was requested outside its validity region, or a result overflows a float."""
 
 
 class NotRecurrent(EhAoiError):

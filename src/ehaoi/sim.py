@@ -36,7 +36,7 @@ import numpy as np
 
 from .aoi import NetworkConfig, PhyConfig
 from .energy_chain import EnergyChainConfig
-from .errors import require_finite
+from .errors import SaturatedAccess, require_finite
 
 __all__ = [
     "BernoulliArrivals",
@@ -282,7 +282,8 @@ class LinkSimulation:
         self.N, self.B = chain.N, chain.B
         self.theta, self.eps = phy.theta, phy.eps
         self.noise = 0.0 if math.isinf(phy.tx_snr) else 1.0 / phy.tx_snr
-        with np.errstate(divide="ignore"):  # a source on a receiver: infinite path loss
+        # a source on a receiver, or one under 1 m away at a huge alpha: infinite path loss
+        with np.errstate(divide="ignore", over="ignore"):
             self.pathloss = topology.torus_distances() ** (-phy.alpha)
         self.arrivals, self.updates = arrivals, updates
         self.kappa = np.zeros(self.n, dtype=np.int64)  # buffers start empty
@@ -373,6 +374,10 @@ class _Realization:
         # rounding moves -log P by at most n quantum / 2 (2e-9 at 144 links).
         theta, pathloss = self.link.theta, self.link.pathloss
         own = pathloss.diagonal()
+        if not own.all():
+            raise SaturatedAccess(
+                f"path loss r^-alpha = {phy.r}^-{phy.alpha} underflows a float: links never decode"
+            )
         gain = np.minimum(np.log1p(theta * pathloss / own), _GAIN_CAP)
         np.fill_diagonal(gain, 0.0)
         self.quantum = 2.0 ** (math.ceil(math.log2(max(n, 1) * _GAIN_CAP)) - 53)

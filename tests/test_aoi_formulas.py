@@ -33,7 +33,7 @@ from ehaoi.energy_chain import (
     steady_closed_n1,
     steady_state,
 )
-from ehaoi.errors import NeverSufficient, SaturatedAccess
+from ehaoi.errors import NeverSufficient, OutOfRegime, SaturatedAccess
 from ehaoi.fbl import CodingConfig, effective_threshold_exact
 
 PHY_13DB = PhyConfig(alpha=3.8, r=3.0, tx_snr=db_to_linear(13.0), theta=1.3, eps=1e-6)
@@ -100,8 +100,20 @@ def test_inv_success_overflow_is_saturation():
 def test_path_loss_overflow_is_saturation(field, value):
     # r**alpha (and r**2) overflow a float before the exponential is reached
     net = NetworkConfig(density=0.01, N=2, B=30, xi=0.5, eta=0.3)
-    with pytest.raises(SaturatedAccess, match="exponent"):
-        inv_success_moment(replace(PHY_13DB, **{field: value}), net, 0.3)
+    phy = replace(PHY_13DB, **{field: value})
+    for moment in (lambda: inv_success_moment(phy, net, 0.3), lambda: aoi_scaling_large_n(net, phy)):
+        with pytest.raises(SaturatedAccess, match="exponent"):
+            moment()
+
+
+@pytest.mark.parametrize("xi, eta", [(5e-324, 0.5), (0.5, 5e-324)])
+def test_age_out_of_float_range_is_out_of_regime(xi, eta):
+    # a product of the rates underflows to 0 on the way, and the age is past any float
+    net = NetworkConfig(density=0.01, N=2, B=30, xi=xi, eta=eta)
+    with pytest.raises(OutOfRegime):
+        network_aoi_general(steady_state(net.chain), net, PHY_13DB)
+    with pytest.raises(OutOfRegime):
+        network_aoi_large_buffer(net, PHY_13DB)
 
 
 @pytest.mark.slow
@@ -167,11 +179,12 @@ def test_interval_matches_mixture_enumeration(n, b, xi, eta):
 
 
 def test_interval_moment_bits_do_not_depend_on_the_python_version():
-    # the bits of Python 3.11's builtin sum(); a compensated sum, which the
-    # builtin is from 3.12 on, moves both moments of this chain in the last bit
+    # the bits of math.fsum, exactly rounded on every Python version; the
+    # builtin sum() of Python 3.11, a left-to-right sum, moves the second
+    # moment of this chain in the last bit
     cfg = EnergyChainConfig(N=4, B=8, xi=0.8, eta=0.6)
     m = interval_moments(steady_state(cfg), cfg)
-    assert (m.mean.hex(), m.second.hex()) == ("0x1.40a376719b6cfp+2", "0x1.c5ccb32b22cd7p+4")
+    assert (m.mean.hex(), m.second.hex()) == ("0x1.40a376719b6cep+2", "0x1.c5ccb32b22cd6p+4")
 
 
 def test_interval_requires_reachable_energy():

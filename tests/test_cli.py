@@ -532,6 +532,21 @@ def test_simulate_without_deliveries_is_bad_config(tmp_path, capsys):
     assert not list(out.glob("*.csv"))
 
 
+def test_underflowing_path_loss_is_out_of_regime(tmp_path, capsys):
+    # 3^-1e300 is 0.0: no horizon brings a delivery, and no numpy warning may fire on the way
+    doc = {
+        "name": "far",
+        "kind": "simulate",
+        "params": {"phy": {**CURVE_PHY, "alpha": 1e300},
+                   "net": {"density": 0.01, "N": 2, "B": 10, "xi": 0.5, "eta": 0.5},
+                   "sim": {"slots": 400, "realizations": 2, "side": 40.0, "seed": 3}},
+    }
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 3
+    assert "path loss" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 def test_overflowing_success_moment_is_out_of_regime(tmp_path, capsys):
     doc = {
         "name": "dense",
@@ -606,6 +621,72 @@ def test_mutated_spec_is_bad_config(data):
     message = err.getvalue()
     assert status == 2 and message.startswith(f"bad-config: {named} "), message
     assert how in MUTANTS or repr(path[-1]) in message, message
+
+
+_UNIT = st.floats(0.0, 1.0, exclude_min=True)
+_SWEEPS = {"density": st.floats(0.0, 0.5), "N": st.integers(1, 8), "B": st.integers(1, 200),
+           "xi": _UNIT, "eta": _UNIT}
+
+
+@st.composite
+def _net(draw):
+    n = draw(st.integers(1, 8))
+    return {"density": draw(_SWEEPS["density"]), "N": n, "B": draw(st.integers(n, 200)),
+            "xi": draw(_UNIT), "eta": draw(_UNIT)}
+
+
+@st.composite
+def _phy_doc(draw, coded):
+    phy = {"alpha": draw(st.floats(2.05, 5.0)), "r": draw(st.floats(0.5, 10.0)),
+           "snr_db": draw(st.floats(-10.0, 40.0)), "eps": draw(st.floats(1e-7, 0.5))}
+    if coded:
+        phy.update(target_rate=draw(st.floats(0.05, 3.0)), bits_per_unit=draw(st.integers(50, 400)))
+    else:
+        phy["theta"] = draw(st.floats(0.05, 20.0))
+    return phy
+
+
+@st.composite
+def _sweep(draw):
+    name = draw(st.sampled_from(sorted(_SWEEPS)))
+    return {"name": name, "values": draw(st.lists(_SWEEPS[name], min_size=1, max_size=5))}
+
+
+@st.composite
+def _analytic_spec(draw):
+    """A well-typed analytic spec, its values in range or not; sizes stay small."""
+    kind = draw(st.sampled_from(["steady_state", "threshold", "aoi_curve", "optimize"]))
+    if kind == "steady_state":
+        params = {"net": draw(_net())}
+    elif kind == "threshold":
+        params = {"bits_per_unit": draw(st.integers(50, 400)),
+                  "target_rate": draw(st.floats(0.01, 4.0)),
+                  "n_values": draw(st.lists(st.integers(1, 20), min_size=1, max_size=5)),
+                  "eps_values": draw(st.lists(st.floats(1e-7, 0.5), min_size=1, max_size=5))}
+    else:
+        coded = kind == "optimize" or draw(st.booleans())
+        params = {"phy": draw(_phy_doc(coded)), "net": draw(_net())}
+        if kind == "aoi_curve":
+            params["formula"] = draw(st.sampled_from(["general", "large_buffer"]))
+    doc = {"name": "drawn", "kind": kind, "params": params}
+    if kind == "aoi_curve" or (kind == "optimize" and draw(st.booleans())):
+        doc["sweep"] = draw(_sweep())
+    return doc
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(doc=_analytic_spec())
+def test_drawn_spec_exits_cleanly_with_finite_cells(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = write_spec(Path(tmp), doc)
+        with contextlib.redirect_stderr(io.StringIO()):  # an exception escaping main fails the test
+            status = main(["--spec", str(spec), "--out", str(Path(tmp) / "out"), "--quiet"])
+        assert status in (0, 2, 3, 4)
+        if status == 0:
+            _, rows = read_csv(Path(tmp) / "out" / "drawn.csv")
+            for cell in (cell for row in rows for cell in row):
+                with contextlib.suppress(ValueError):  # an empty sim cell or a regime name
+                    assert math.isfinite(float(cell)), (cell, doc)
 
 
 def test_main_happy_path(tmp_path, capsys):

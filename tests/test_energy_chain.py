@@ -527,6 +527,14 @@ def test_steady_state_rescales_long_buffers():
     assert np.max(np.abs(ss.probs - oracle(cfg))) <= 1e-10
 
 
+@pytest.mark.parametrize("xi", [5e-324, 1e-110])
+def test_steady_state_out_of_float_range_is_out_of_regime(xi):
+    # up(c) = xi (1 - eta) underflows to 0 at the first, and one step of the
+    # recursion, about 1 / up(c), outgrows the 1e100 rescaling at the second
+    with pytest.raises(OutOfRegime, match="underflows|overflows"):
+        steady_state(EnergyChainConfig(N=2, B=30, xi=xi, eta=0.5))
+
+
 def test_steady_state_non_unique_point():
     # N = 1, xi = eta = 1: every level >= 1 is absorbing
     cfg = EnergyChainConfig(N=1, B=5, xi=1.0, eta=1.0)
