@@ -20,11 +20,14 @@ where L_ji is the path loss from source j to receiver i.  ``run`` draws one
 uniform per attempt against that probability; ``LinkSimulation.step`` keeps
 explicit fades as the independent per-slot reference.  ``run`` works in two
 phases over chunks of slots.  Phase A scans the buffers of every link of
-every realization at once, since buffers never read decoding outcomes;
-phase B then decodes each realization's attempts and folds in ages,
-attempts and inter-attempt gaps.  Identical (seed, configuration) inputs
-give bit-identical reports; each realization owns counter-based substreams
-keyed on (seed, index).
+every realization at once, several slots per table gather, since buffers
+never read decoding outcomes.  Phase B decodes each realization's attempts,
+then folds the ages, attempts and inter-attempt gaps of every link in from
+link-major lists of attempts and successes.  Identical (seed, configuration)
+inputs give bit-identical reports.  Each realization has a seed sequence
+keyed on (seed, index): its topology comes from a ``Philox`` stream keyed
+on that sequence, and its arrivals, activations and decode coins from
+three ``SFC64`` substreams seeded from its children.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ __all__ = [
 
 _CHUNK = 4096  # most slots per phase A chunk
 _CELLS = 1 << 17  # most slot x link cells per phase A chunk
+_BLOCK = 8  # most slots per phase A gather
+_TABLE = 1 << 18  # most entries of the phase A level table
 _GAIN_CAP = 1024.0  # exp(-1024) is 0.0, so a larger log-gain decides nothing more
 
 
@@ -243,10 +248,14 @@ def sample_topology(
     """Poisson(density side^2) sources, each receiver at distance r, wrapped.
 
     A draw of zero links is redrawn.  The expected count is at least one,
-    so a draw comes up empty with probability at most 1/e.
+    so a draw comes up empty with probability at most 1/e.  r must stay
+    below side / 2: a longer link wraps onto a shorter one.
     """
     if density * side**2 < 1.0:
         raise ValueError("expected node count below one; enlarge side or density")
+    if not r < side / 2.0:
+        raise ValueError(f"link length r = {r} must be below half the torus side {side}:"
+                         " a longer link wraps onto a shorter one; enlarge side")
     n = 0
     while n == 0:
         n = int(rng.poisson(density * side**2))
@@ -343,12 +352,12 @@ def _default_warmup(n_units: int, arrivals: ArrivalPattern, updates: UpdatePatte
 
 
 class _Realization:
-    """One realization: its links, a substream per draw kind, and its tallies.
+    """One realization: its links, a substream per draw kind, and its decoder.
 
-    Arrivals, activations and decode coins each have their own substream,
+    Arrivals, activations and decode coins each have their own ``SFC64``
+    substream, seeded from a child of the realization's seed sequence and
     consumed in slot order, so the way the slots are chunked never shifts a
-    stream.  All tallies are integers, so chunking never changes a sum
-    either.
+    stream.
     """
 
     def __init__(self, ridx: int, sim: SimConfig, phy: PhyConfig, net: NetworkConfig,
@@ -358,18 +367,14 @@ class _Realization:
         if topology is None:
             topology = sample_topology(net.density, sim.side, phy.r, rng)
         self.arr_rng, self.act_rng, self.coin_rng = (
-            np.random.Generator(np.random.Philox(child)) for child in seq.spawn(3))
+            np.random.Generator(np.random.SFC64(child)) for child in seq.spawn(3))
         # the periodic phase and the Markov start come from the arrivals substream
         self.link = LinkSimulation(topology, phy, net.chain, arrivals, updates, self.arr_rng)
-        n = self.n = topology.n_links
-        self.aoi_sum, self.attempts, self.successes = (np.zeros(n, dtype=np.int64) for _ in range(3))
-        self.last_success = np.zeros(n, dtype=np.int64)  # so ages start at 1
-        self.last_attempt = np.full(n, -1, dtype=np.int64)  # last measured attempt
-        self.gaps = (0, 0, 0)  # count, sum and sum of squares of inter-attempt gaps
+        self.n = topology.n_links
         # -log P(link i decodes) = c_i + sum of G[j, i] over the other active j,
         # with G[j, i] = log1p(theta L_ji / L_ii).  G is kept in whole units of
         # a power of two so small that every column sum is an integer below
-        # 2^53: all partial sums of the product in absorb are then exact, and
+        # 2^53: all partial sums of the product in decode are then exact, and
         # no blocking or thread count of the BLAS can change a bit.  The
         # rounding moves -log P by at most n quantum / 2 (2e-9 at 144 links).
         theta, pathloss = self.link.theta, self.link.pathloss
@@ -380,36 +385,105 @@ class _Realization:
             )
         gain = np.minimum(np.log1p(theta * pathloss / own), _GAIN_CAP)
         np.fill_diagonal(gain, 0.0)
-        self.quantum = 2.0 ** (math.ceil(math.log2(max(n, 1) * _GAIN_CAP)) - 53)
+        self.quantum = 2.0 ** (math.ceil(math.log2(max(self.n, 1) * _GAIN_CAP)) - 53)
         self.gain = np.rint(gain / self.quantum)  # [source j, receiver i]
         self.noise_term = theta * self.link.noise / own  # c_i
 
-    def absorb(self, t0: int, active: np.ndarray, warmup: int) -> None:
-        """Phase B: decode one chunk's attempts, then fold ages, attempts and gaps in.
+    def decode(self, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Phase B: the slots and links of the attempts in one chunk that succeed.
 
         Each attempt, in (slot, link) order, draws one uniform against its
         success probability given the links active in its slot.
         """
-        rows = active.shape[0]
-        slot, link = np.nonzero(active)
-        neg_log_p = (active.astype(np.float64) @ self.gain)[slot, link] * self.quantum
+        flat = np.flatnonzero(active)
+        slot, link = np.divmod(flat, self.n)
+        neg_log_p = (active.astype(np.float64) @ self.gain).ravel()[flat] * self.quantum
         neg_log_p += self.noise_term[link]
-        ok = self.coin_rng.random(link.size) < (1.0 - self.link.eps) * np.exp(-neg_log_p)
-        success = np.zeros_like(active)
-        success[slot[ok], link[ok]] = True
-        post = max(0, warmup - t0)  # first measured row
-        t = t0 + np.arange(rows)[:, None]
-        measured = active[post:]
-        # row k: the last success (or 0) and the last measured attempt (or -1) before row k
-        last = np.maximum.accumulate(np.vstack((self.last_success, np.where(success, t, 0))))
-        tried = np.maximum.accumulate(np.vstack((self.last_attempt, np.where(measured, t[post:], -1))))
-        self.last_success, self.last_attempt = last[-1].copy(), tried[-1].copy()
-        self.aoi_sum += (t[post:] + 1).sum() - last[post + 1:].sum(axis=0)  # age: t - last + 1
-        self.attempts += measured.sum(axis=0)
-        self.successes += success[post:].sum(axis=0)
-        gaps = (t[post:] - tried[:-1])[measured & (tried[:-1] >= 0)]
+        ok = self.coin_rng.random(flat.size) < (1.0 - self.link.eps) * np.exp(-neg_log_p)
+        return slot[ok], link[ok]
+
+
+def _link_events(mask: np.ndarray, t0: int, carried: np.ndarray):
+    """The marked cells of a (slots, links) mask whose first row is slot t0, link by link.
+
+    Returns the event count of each link; the slots of the events in
+    link-major order; the slot of the event before each on its link
+    (``carried`` of the link for its first event); the mask of the links
+    with events; and the index of the last event of each of those links.
+    """
+    rows, width = mask.shape
+    counts = np.count_nonzero(mask, axis=0)
+    slot = np.flatnonzero(mask.T) - np.repeat(np.arange(width) * rows - t0, counts)
+    seen = counts > 0
+    last = np.cumsum(counts)[seen] - 1
+    prev = np.empty_like(slot)
+    prev[1:] = slot[:-1]
+    prev[last - counts[seen] + 1] = carried[seen]
+    return counts, slot, prev, seen, last
+
+
+class _Tally:
+    """Per-link tallies over the measured slots, carried from chunk to chunk.
+
+    All tallies are integers, so the way the slots are chunked never
+    changes a sum.
+    """
+
+    def __init__(self, width: int):
+        self.aoi_sum, self.attempts, self.successes = (np.zeros(width, dtype=np.int64) for _ in range(3))
+        self.last_success = np.zeros(width, dtype=np.int64)  # so ages start at 1
+        self.last_attempt = np.full(width, -1, dtype=np.int64)  # last measured attempt
+        self.gaps = (0, 0, 0)  # count, sum and sum of squares of inter-attempt gaps
+
+    def absorb(self, t0: int, active: np.ndarray, success: np.ndarray, warmup: int) -> None:
+        """Phase B: fold in the (slots, links) attempt and success masks of the chunk from slot t0.
+
+        It works on link-major event lists.  A link's age in slot t is
+        t + 1 - L(t), where L(t) is its last success up to t (0 before any).
+        L steps up by s - s' at a success s that follows s', which lowers
+        the age in every measured slot from s on by that step.  The
+        inter-attempt gaps are the differences of successive measured
+        attempt slots.
+        """
+        rows, width = active.shape
+        end = t0 + rows
+        start = min(max(t0, warmup), end)  # first measured slot
+        counts, slot, prev, seen, last = _link_events(success, t0, self.last_success)
+        steps = (slot - prev) * (end - np.maximum(slot, start))
+        lowered = np.zeros(width, dtype=np.int64)
+        lowered[seen] = np.add.reduceat(steps, last - counts[seen] + 1)
+        self.aoi_sum += (start + 1 + end) * (end - start) // 2 - (end - start) * self.last_success - lowered
+        self.successes += np.count_nonzero(success[start - t0:], axis=0)
+        self.last_success[seen] = slot[last]
+        counts, slot, prev, seen, last = _link_events(active[start - t0:], start, self.last_attempt)
+        self.attempts += counts
+        gaps = (slot - prev)[prev >= 0]
         stats = (gaps.size, gaps.sum(), (gaps * gaps).sum())
         self.gaps = tuple(a + int(b) for a, b in zip(self.gaps, stats))
+        self.last_attempt[seen] = slot[last]
+
+
+def _level_table(chain: EnergyChainConfig, top: int) -> tuple[int, np.ndarray]:
+    """The next-level table of phase A for blocks of k slots: (k, table).
+
+    A slot's symbol is gate (top + 1) + arrivals, one of S = 2 (top + 1); a
+    block's word spells its k symbols in base S, first slot lowest.
+    table[j, word (B + 1) + level] is the level after slot j of the block
+    from that level.  k is the largest value up to _BLOCK whose table holds
+    at most _TABLE entries, or 1.
+    """
+    symbols, depth = 2 * (top + 1), chain.B + 1
+    k = max([1] + [j for j in range(1, _BLOCK + 1) if symbols**j * depth * j <= _TABLE])
+    lv = np.arange(depth)
+    gate, arrivals = np.divmod(np.arange(symbols), top + 1)
+    fire = (lv >= chain.N) & (gate[:, None] == 1)
+    one = np.minimum(lv - chain.N * fire + arrivals[:, None], chain.B)  # [symbol, level]
+    words = np.arange(symbols**k)[:, None]
+    level = np.broadcast_to(lv, (symbols**k, depth))
+    table = np.empty((k, symbols**k, depth), dtype=np.min_scalar_type(chain.B))
+    for j in range(k):
+        level = table[j] = one[words // symbols**j % symbols, level]
+    return k, table.reshape(k, -1)
 
 
 def _buffer_scan(reals: list[_Realization], slots: int, chain: EnergyChainConfig,
@@ -418,8 +492,9 @@ def _buffer_scan(reals: list[_Realization], slots: int, chain: EnergyChainConfig
 
     Buffers never read decoding outcomes, so one loop over the slots runs
     on a flat vector holding every link of every realization.  Its body is
-    a single gather from a table of next levels indexed by (gate,
-    arrivals, level).  Chunks hold at most _CELLS slot x link cells.
+    a single gather from a table of the next k levels indexed by (block
+    word, level), see _level_table.  Chunks hold at most _CELLS slot x link
+    cells.
     """
     width = sum(r.n for r in reals)
     rows_max = max(1, min(_CHUNK, _CELLS // max(width, 1)))
@@ -428,13 +503,12 @@ def _buffer_scan(reals: list[_Realization], slots: int, chain: EnergyChainConfig
         return np.concatenate([draw(r) for r in reals], axis=axis)
 
     top = arrivals.e_max if isinstance(arrivals, BinomialArrivals) else 1
-    lv = np.arange(chain.B + 1)
-    fire = (lv >= chain.N) & (np.arange(2)[:, None, None] == 1)
-    table = np.minimum(lv - chain.N * fire + np.arange(top + 1)[:, None], chain.B).ravel()
-    level = np.zeros(width, dtype=np.intp)
+    k, table = _level_table(chain, top)
+    symbols = 2 * (top + 1)
     index = np.empty(width, dtype=np.intp)
     good = flat(lambda r: r.link.markov_good, axis=0) if isinstance(arrivals, TwoStateMarkovArrivals) else None
     phase = flat(lambda r: r.link.phase, axis=0) if isinstance(updates, PeriodicUpdates) else None
+    levels = np.zeros((1, width), dtype=table.dtype)  # row 0: the level before the chunk
     for t0 in range(0, slots, rows_max):
         rows = min(rows_max, slots - t0)
         if isinstance(arrivals, BernoulliArrivals):
@@ -450,13 +524,23 @@ def _buffer_scan(reals: list[_Realization], slots: int, chain: EnergyChainConfig
             gate = (t0 + np.arange(rows)[:, None] + phase) % updates.period == 0
         else:
             gate = flat(lambda r: r.act_rng.random((rows, r.n)) < updates.eta)
-        code = (gate.astype(np.int32) * (top + 1) + arr) * (chain.B + 1)
-        levels = np.empty((rows + 1, width), dtype=np.intp)  # row 0: the level before t0
-        levels[0] = level
-        for t in range(rows):
-            np.add(code[t], levels[t], out=index)
-            table.take(index, out=levels[t + 1])
-        level = levels[-1].copy()
+        blocks = -(-rows // k)
+        # the padded rows past the chunk read symbol 0 and are dropped
+        symbol = np.zeros((blocks * k, width), dtype=np.min_scalar_type(symbols - 1))
+        np.multiply(gate, top + 1, out=symbol[:rows], casting="unsafe")
+        np.add(symbol[:rows], arr, out=symbol[:rows], casting="unsafe")
+        symbol = symbol.reshape(blocks, k, width)
+        word = symbol[:, -1].astype(np.intp)
+        for j in range(k - 2, -1, -1):
+            word *= symbols
+            word += symbol[:, j]
+        word *= chain.B + 1
+        levels = np.concatenate((levels[-1:], np.empty((blocks * k, width), dtype=table.dtype)))
+        for b in range(blocks):
+            np.add(word[b], levels[b * k], out=index)
+            # every index is in range; "clip" spares the buffered copy of the default check
+            table.take(index, axis=1, out=levels[b * k + 1:(b + 1) * k + 1], mode="clip")
+        levels = levels[:rows + 1]
         yield t0, levels[1:], (levels[:-1] >= chain.N) & gate
 
 
@@ -477,23 +561,26 @@ def run(sim: SimConfig, phy: PhyConfig, net: NetworkConfig,
     warmup = sim.warmup if sim.warmup is not None else _default_warmup(chain.N, arrivals, updates, sim.slots)
     reals = [_Realization(ridx, sim, phy, net, arrivals, updates, topology)
              for ridx in range(sim.realizations)]
-    bounds = np.cumsum([0] + [r.n for r in reals])
+    links = np.array([r.n for r in reals])
+    bounds = np.cumsum(links) - links
     occupancy = np.zeros(chain.B + 1, dtype=np.int64)
+    tally = _Tally(int(links.sum()))
     for t0, levels, active in _buffer_scan(reals, sim.slots, chain, arrivals, updates):
         occupancy += np.bincount(levels[max(0, warmup - t0):].ravel(), minlength=chain.B + 1)
-        for r, lo, hi in zip(reals, bounds[:-1], bounds[1:]):
-            r.absorb(t0, active[:, lo:hi], warmup)
+        success = np.zeros_like(active)
+        for r, lo in zip(reals, bounds):
+            slot, link = r.decode(active[:, lo:lo + r.n])
+            success[slot, lo + link] = True
+        tally.absorb(t0, active, success, warmup)
 
     measured = sim.slots - warmup
-    per_link = [r.aoi_sum / measured for r in reals]
-    means = np.array([p.mean() for p in per_link])
-    attempts = np.concatenate([r.attempts for r in reals])
-    successes = np.concatenate([r.successes for r in reals])
+    per_link = tally.aoi_sum / measured
+    means = np.array([per_link[lo:lo + r.n].mean() for r, lo in zip(reals, bounds)])
+    attempts, successes = tally.attempts, tally.successes
     delivered = successes > 0
     inv_mu = float(np.mean(attempts[delivered] / successes[delivered])) if delivered.any() else math.inf
-    count, total, squares = (sum(column) for column in zip(*(r.gaps for r in reals)))
+    count, total, squares = tally.gaps
     ci = 1.96 * float(means.std(ddof=1)) / math.sqrt(len(means)) if len(means) > 1 else 0.0
-    links = np.array([r.n for r in reals])
     return SimReport(
         network_aoi=float(means.mean()),
         ci_halfwidth=ci,
@@ -501,10 +588,10 @@ def run(sim: SimConfig, phy: PhyConfig, net: NetworkConfig,
         empirical_inv_mu=inv_mu,
         empirical_interval_mean=total / count if count else math.nan,
         empirical_interval_second=squares / count if count else math.nan,
-        per_link_aoi=np.concatenate(per_link),
+        per_link_aoi=per_link,
         occupancy=occupancy / occupancy.sum(),
         realization_means=means,
         slots_measured=measured,
         links=links,
-        activity=int(sum(r.attempts.sum() for r in reals)) / (measured * int(links.sum())),
+        activity=int(attempts.sum()) / (measured * int(links.sum())),
     )

@@ -547,6 +547,16 @@ def test_underflowing_path_loss_is_out_of_regime(tmp_path, capsys):
     assert not list(out.glob("*.csv"))
 
 
+def test_link_longer_than_half_the_torus_is_bad_config(tmp_path, capsys):
+    # the receiver would wrap around the 40 m torus to a shorter distance than r
+    doc = _with(SIMULATE_DOC, lambda d: d["params"]["phy"].update(r=1e200))
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad-config: ") and "half the torus side" in err
+    assert not list(out.glob("*.csv"))
+
+
 def test_overflowing_success_moment_is_out_of_regime(tmp_path, capsys):
     doc = {
         "name": "dense",

@@ -210,6 +210,91 @@ def test_run_does_not_depend_on_chunking(monkeypatch, pattern):
     assert_same_report(run(sim, phy, net), a)
 
 
+@pytest.mark.parametrize("n_units, buffer, top, k", [
+    (2, 2, 1, 6), (3, 30, 1, 5), (2, 10, 10, 2), (2, 300, 10, 1), (1, 9000, 1, 1),
+], ids=["B=N", "bernoulli", "binomial", "binomial-large-B", "bernoulli-large-B"])
+def test_level_table_steps_the_buffer_one_slot_at_a_time(n_units, buffer, top, k):
+    # table[j, word (B + 1) + level]: the level after slot j of a block whose
+    # symbols gate (top + 1) + arrivals spell word in base 2 (top + 1)
+    chain = EnergyChainConfig(N=n_units, B=buffer, xi=0.5, eta=0.5)
+    block, table = sim_module._level_table(chain, top)
+    assert block == k
+    symbols = 2 * (top + 1)
+    rng = np.random.default_rng(buffer)
+    start = rng.integers(0, buffer + 1, size=2000)
+    word = rng.integers(0, symbols**k, size=2000)
+    level = start
+    for j in range(k):
+        gate, arrivals = np.divmod(word // symbols**j % symbols, top + 1)
+        fire = (level >= n_units) & (gate == 1)
+        level = np.minimum(level - n_units * fire + arrivals, buffer)
+        assert np.array_equal(table[j, word * (buffer + 1) + start], level)
+
+
+@pytest.mark.parametrize("pattern", sorted(PATTERNS))
+@pytest.mark.parametrize("buffer", [2, 10, 300])
+def test_buffer_scan_in_blocks_equals_one_slot_scan(monkeypatch, pattern, buffer):
+    # 97-slot chunks and a 1003-slot horizon: no chunk is a multiple of k
+    arrivals, updates = PATTERNS[pattern]
+    net = NetworkConfig(density=0.01, N=2, B=buffer, xi=0.5, eta=0.6)
+    sim = SimConfig(slots=1003, realizations=2, seed=3, side=40.0, arrivals=arrivals, updates=updates)
+    monkeypatch.setattr(sim_module, "_CHUNK", 97)
+
+    def scan():
+        reals = [sim_module._Realization(ridx, sim, CLEAN, net, arrivals, updates, None)
+                 for ridx in range(sim.realizations)]
+        return list(sim_module._buffer_scan(reals, sim.slots, net.chain, arrivals, updates))
+
+    blocks = scan()
+    monkeypatch.setattr(sim_module, "_BLOCK", 1)
+    singles = scan()
+    assert len(blocks) == len(singles) == 11
+    for (t0, levels, active), (u0, one_levels, one_active) in zip(blocks, singles):
+        assert t0 == u0
+        assert np.array_equal(levels, one_levels) and np.array_equal(active, one_active)
+
+
+def dense_absorb(tally, t0, active, success, warmup):
+    """The tallies of one chunk by dense prefix maxima over all its cells."""
+    rows = active.shape[0]
+    post = max(0, warmup - t0)  # first measured row
+    t = t0 + np.arange(rows)[:, None]
+    measured = active[post:]
+    # row k: the last success (or 0) and the last measured attempt (or -1) before row k
+    last = np.maximum.accumulate(np.vstack((tally.last_success, np.where(success, t, 0))))
+    tried = np.maximum.accumulate(np.vstack((tally.last_attempt, np.where(measured, t[post:], -1))))
+    tally.last_success, tally.last_attempt = last[-1].copy(), tried[-1].copy()
+    tally.aoi_sum += (t[post:] + 1).sum() - last[post + 1:].sum(axis=0)  # age: t - last + 1
+    tally.attempts += measured.sum(axis=0)
+    tally.successes += success[post:].sum(axis=0)
+    gaps = (t[post:] - tried[:-1])[measured & (tried[:-1] >= 0)]
+    stats = (gaps.size, gaps.sum(), (gaps * gaps).sum())
+    tally.gaps = tuple(a + int(b) for a, b in zip(tally.gaps, stats))
+
+
+@pytest.mark.parametrize("warmup", [0, 130, 248, 700])
+def test_event_fold_equals_dense_fold(warmup):
+    # chunks of 1, 97, 150, 200 and 300 slots, edges at 1, 98, 248 and 448:
+    # the warmup falls before every chunk, inside one, on an edge, or after
+    # all but the last
+    rng = np.random.default_rng(warmup)
+    width = 9
+    rates = np.linspace(0.01, 0.9, width)
+    rates[3] = 0.0  # a link that never attempts
+    events, dense = sim_module._Tally(width), sim_module._Tally(width)
+    t0 = 0
+    for rows in (1, 97, 150, 200, 300):
+        active = rng.random((rows, width)) < rates
+        success = active & (rng.random((rows, width)) < 0.4)
+        events.absorb(t0, active, success, warmup)
+        dense_absorb(dense, t0, active, success, warmup)
+        for name in ("aoi_sum", "attempts", "successes", "last_success", "last_attempt"):
+            assert np.array_equal(getattr(events, name), getattr(dense, name)), name
+            assert getattr(events, name).dtype == np.int64
+        assert events.gaps == dense.gaps
+        t0 += rows
+
+
 def test_run_does_not_depend_on_blas_threads():
     # ~50 links per realization; decoding sums interference terms in a matrix
     # product, whose bits must not move with the BLAS thread count
@@ -302,7 +387,7 @@ def test_saturated_decode_draws_one_coin_per_attempt():
     sim = SimConfig(slots=3000, realizations=1, seed=11, side=SKEWED.side, warmup=40)
     rep = run(sim, SKEWED_PHY, SATURATED, topology=SKEWED)
     child = np.random.SeedSequence(entropy=sim.seed, spawn_key=(0,)).spawn(3)[2]
-    coins = np.random.Generator(np.random.Philox(child)).random((sim.slots - 1, SKEWED.n_links))
+    coins = np.random.Generator(np.random.SFC64(child)).random((sim.slots - 1, SKEWED.n_links))
     success = np.vstack((np.zeros((1, SKEWED.n_links), dtype=bool), coins < p))
     t = np.arange(sim.slots)[:, None]
     last = np.maximum.accumulate(np.where(success, t, 0))
