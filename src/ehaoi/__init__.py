@@ -43,7 +43,7 @@ from .fbl import (  # noqa: F401
     max_coding_rate,
     q_inverse,
 )
-from .optimizer import OptimumResult, ecr_search, esr_search, optimize  # noqa: F401
+from .optimizer import OptimumResult, optimize  # noqa: F401
 
 _SIM_NAMES = ("SimConfig", "SimReport", "run", "sample_topology")
 # what a star import bound when the simulator was imported eagerly

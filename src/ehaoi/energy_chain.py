@@ -24,7 +24,9 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .errors import NonConvergence, NotRecurrent, OutOfRegime, bisect_increasing
+from .errors import (
+    NonConvergence, NotRecurrent, OutOfRegime, bisect_increasing, require_integer,
+)
 
 __all__ = [
     "EnergyChainConfig",
@@ -63,6 +65,7 @@ class EnergyChainConfig:
     eta: float
 
     def __post_init__(self):
+        require_integer("EnergyChainConfig", N=self.N, B=self.B)
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
         if self.B < self.N:

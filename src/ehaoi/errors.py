@@ -2,12 +2,14 @@
 
 Each type carries the CLI exit code and stderr label it maps to, so
 raising the most specific type matters there; library callers can catch
-``EhAoiError`` for everything.  The helpers check config fields and
-bisect the monotone root finds of the energy chain, coding and optimizer.
+``EhAoiError`` for everything.  The helpers refuse config fields that
+are not finite or not integers, and bisect the monotone root finds of the
+energy chain, the coding threshold and the optimizer's update rate.
 """
 
 import math
 from collections.abc import Callable
+from numbers import Integral
 
 
 def require_finite(owner: str, **fields: float | None) -> None:
@@ -15,6 +17,14 @@ def require_finite(owner: str, **fields: float | None) -> None:
     bad = [name for name, value in fields.items() if value is not None and not math.isfinite(value)]
     if bad:
         raise ValueError(f"{owner} fields must be finite: {', '.join(bad)}")
+
+
+def require_integer(owner: str, **fields: int | None) -> None:
+    """Reject count fields that are not an int or a numpy integer; a bool is refused too."""
+    bad = [name for name, value in fields.items()
+           if value is not None and (isinstance(value, bool) or not isinstance(value, Integral))]
+    if bad:
+        raise ValueError(f"{owner} fields must be integers: {', '.join(bad)}")
 
 
 def bisect_increasing(f: Callable[[float], float], lo: float, hi: float) -> float:
@@ -67,13 +77,6 @@ class SaturatedAccess(EhAoiError):
 
 class TargetRateTooLow(EhAoiError):
     """Target coding rate is below the rate floor of the monotone bracket."""
-
-
-class IterationBudgetExceeded(EhAoiError):
-    """Alternating optimization did not settle within the iteration cap."""
-
-    exit_code = 4
-    label = "non-convergence"
 
 
 class BadConfig(EhAoiError):

@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
-from .errors import NonConvergence, TargetRateTooLow, bisect_increasing, require_finite
+from .errors import (
+    NonConvergence, TargetRateTooLow, bisect_increasing, require_finite, require_integer,
+)
 
 __all__ = [
     "CodingConfig",
@@ -52,6 +54,7 @@ class CodingConfig:
     eps: float
 
     def __post_init__(self):
+        require_integer("CodingConfig", k=self.k, N=self.N)
         require_finite("CodingConfig", target_rate=self.target_rate, eps=self.eps)
         if self.k < 1 or self.N < 1:
             raise ValueError("k and N must be positive integers")

@@ -1,11 +1,12 @@
 """Joint optimization of the update rate and the per-packet energy units.
 
-The infinite-buffer AoI splits into two regimes along N eta = xi.  In the
-energy-sufficient regime the update rate has a unique interior optimum and
-longer codewords always help, so an alternating scheme on (eta, N)
-converges; in the energy-constrained regime the update rate belongs at 1
-and the codeword length is found by a forward scan that stops at the first
-increase.  The top-level optimize() runs both and keeps the better regime.
+For a fixed codeword length N the best update rate is known in each
+regime of the infinite-buffer AoI: min(eta_hat, xi/N) in the
+energy-sufficient regime (ESR), with eta_hat the interference-optimal
+ALOHA rate, and 1 in the energy-constrained regime (ECR).  So optimize()
+is one forward scan over N = 1, ..., B that scores both candidates at
+each N and stops at the first N whose better candidate is worse than the
+best so far.
 """
 
 from __future__ import annotations
@@ -15,41 +16,35 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .aoi import NetworkConfig, PhyConfig, network_aoi_large_buffer, omega
-from .errors import IterationBudgetExceeded, SaturatedAccess, bisect_increasing
+from .errors import SaturatedAccess, bisect_increasing
 # effective_threshold_approx is unused here; bench/spans.py traces it under this module
 from .fbl import CodingConfig, effective_threshold_approx, effective_threshold_exact  # noqa: F401
-
-_TOL = 1e-6  # the ESR search stops when the objective moves less than this
-_MAX_ITER = 50  # ESR half-steps before IterationBudgetExceeded
-_N_UPPER = 200  # longest codeword the ECR scan tries, however large the buffer
 
 __all__ = [
     "OptimumResult",
     "optimal_eta_esr",
     "optimal_eta_esr_cubic",
-    "clamp_eta_esr",
-    "optimal_n_esr",
     "theta_for",
-    "esr_search",
-    "ecr_search",
     "optimize",
 ]
 
 
 @dataclass(frozen=True)
 class OptimumResult:
-    """Best (eta, N) that one regime's search found, and its AoI.
+    """Best (eta, N) found by optimize(), and its AoI.
 
-    ``regime`` names the search: "ESR" (energy-sufficient) or "ECR"
-    (energy-constrained, whose eta_star is always 1).  ``trace`` collects
-    its (iteration, eta, N, aoi) diagnostics; the ECR scan's iteration is N.
+    ``regime`` names the candidate that won: "ESR" (energy-sufficient,
+    eta_star = min(eta_hat, xi/N)) or "ECR" (energy-constrained, eta_star
+    = 1).  ``trace`` holds one (N, eta_esr, aoi_esr, aoi_ecr) entry per
+    scanned codeword length, with inf for a candidate whose access
+    saturates.
     """
 
     aoi_star: float
     eta_star: float
     n_star: int
     regime: str  # "ESR" | "ECR"
-    trace: tuple[tuple[int, float, int, float], ...]
+    trace: tuple[tuple[int, float, float, float], ...]
 
 
 def optimal_eta_esr(density: float, omega_n: float, r: float, alpha: float) -> float:
@@ -77,8 +72,8 @@ def optimal_eta_esr_cubic(density: float, omega_n: float, r: float, alpha: float
 
     Solves lambda Omega r^2 eta (1 - 2 eta/alpha)^2 = (1 - eta)^2 and keeps
     the real root in (0, 1); with several candidates the one nearest the
-    exact bisection root is returned.  Kept for parity studies; the searches
-    use the exact root.
+    exact bisection root is returned.  Kept for parity studies; optimize()
+    uses the exact root.
     """
     import numpy as np
 
@@ -92,16 +87,6 @@ def optimal_eta_esr_cubic(density: float, omega_n: float, r: float, alpha: float
         candidates = [float(z.real) for z in roots if 0.0 < z.real < 1.0]
     exact = optimal_eta_esr(density, omega_n, r, alpha)
     return min(candidates, key=lambda v: abs(v - exact))
-
-
-def clamp_eta_esr(eta_hat: float, xi: float, n: int) -> float:
-    """Feasible energy-sufficient rate: min(eta_hat, xi / N)."""
-    return min(eta_hat, xi / n)
-
-
-def optimal_n_esr(xi: float, eta: float) -> int:
-    """Largest energy-sufficient codeword: max(1, floor(xi / eta))."""
-    return max(1, math.floor(xi / eta))
 
 
 def theta_for(phy: PhyConfig, n: int) -> float:
@@ -118,74 +103,42 @@ def _exact_threshold(cfg: CodingConfig) -> float:
     return effective_threshold_exact(cfg)
 
 
-def esr_search(phy_base: PhyConfig, net_base: NetworkConfig) -> OptimumResult:
-    """Alternating (eta, N) optimization in the energy-sufficient regime.
-
-    Each half-step solves its one-dimensional subproblem exactly (update
-    rate by bisection with the xi/N clamp, codeword length by the floor
-    rule, at most the buffer size B) with the decoding threshold retuned to
-    the current N.  Stops when the objective moves less than _TOL.
-    """
-    xi = net_base.xi
-    n = 1
-    eta = xi
-    trace: list[tuple[int, float, int, float]] = []
-    prev = math.inf
-    # each half-step (rate update, then codeword update) counts as one
-    # iteration, mirroring the alternating scheme's own bookkeeping
-    for it in range(1, _MAX_ITER + 1):
-        if it % 2 == 1:
-            phy_n = replace(phy_base, theta=theta_for(phy_base, n))
-            om = omega(phy_n.theta, phy_n.alpha)
-            eta = clamp_eta_esr(
-                optimal_eta_esr(net_base.density, om, phy_n.r, phy_n.alpha), xi, n
-            )
-        else:
-            n = min(optimal_n_esr(xi, eta), net_base.B)
-            phy_n = replace(phy_base, theta=theta_for(phy_base, n))
-        probe = NetworkConfig(density=net_base.density, N=n, B=net_base.B, xi=xi, eta=eta)
-        aoi = network_aoi_large_buffer(probe, phy_n)
-        trace.append((it, eta, n, aoi))
-        if abs(aoi - prev) < _TOL:
-            return OptimumResult(aoi_star=aoi, eta_star=eta, n_star=n, regime="ESR",
-                                 trace=tuple(trace))
-        prev = aoi
-    raise IterationBudgetExceeded(f"energy-sufficient search open after {_MAX_ITER} iterations")
-
-
-def ecr_search(phy_base: PhyConfig, net_base: NetworkConfig) -> OptimumResult:
-    """Forward scan over N at eta = 1 in the energy-constrained regime.
-
-    The greedy objective either increases monotonically or has a single
-    minimum, so the scan stops at the first increase (or at a NaN) and
-    returns the best N before it.  A codeword cannot need more units than
-    the buffer holds, so N stops at min(_N_UPPER, B); if no increase is
-    seen by then, the best value found is returned, and n_star equals that
-    bound.
-    """
-    best_aoi = math.inf
-    best_n = 1
-    trace: list[tuple[int, float, int, float]] = []
-    for n in range(1, min(_N_UPPER, net_base.B) + 1):
-        phy_n = replace(phy_base, theta=theta_for(phy_base, n))
-        probe = NetworkConfig(
-            density=net_base.density, N=n, B=net_base.B, xi=net_base.xi, eta=1.0
-        )
-        try:
-            aoi = network_aoi_large_buffer(probe, phy_n)
-        except SaturatedAccess:
-            # xi/N = 1 under interference: every node fires every slot
-            aoi = math.inf
-        trace.append((n, 1.0, n, aoi))
-        if not aoi <= best_aoi:  # a NaN ends the scan too
-            break
-        best_aoi, best_n = aoi, n
-    return OptimumResult(aoi_star=best_aoi, eta_star=1.0, n_star=best_n, regime="ECR",
-                         trace=tuple(trace))
+def _aoi_at(phy: PhyConfig, net_base: NetworkConfig, n: int, eta: float) -> float:
+    probe = NetworkConfig(density=net_base.density, N=n, B=net_base.B, xi=net_base.xi, eta=eta)
+    try:
+        return network_aoi_large_buffer(probe, phy)
+    except SaturatedAccess:
+        # eta = xi/N = 1 under interference, or a success moment that overflows a float
+        return math.inf
 
 
 def optimize(phy_base: PhyConfig, net_base: NetworkConfig) -> OptimumResult:
-    """Best (eta, N) over both regimes; ties go to the energy-sufficient one."""
-    esr = esr_search(phy_base, net_base)
-    ecr = ecr_search(phy_base, net_base)
-    return esr if esr.aoi_star <= ecr.aoi_star else ecr
+    """Best (eta, N) over both regimes, by a forward scan over N <= B.
+
+    At each N the ESR candidate min(eta_hat, xi/N) and the ECR candidate
+    eta = 1 are scored with the decoding threshold retuned to N; the
+    better one (the ESR on a tie) stands for N.  The scan stops at the
+    first N whose candidate is worse than the best so far, or NaN, and
+    returns the earliest N that reached the best.  Raises SaturatedAccess
+    if both candidates saturate at every N.
+    """
+    density, xi = net_base.density, net_base.xi
+    best_aoi, best = math.inf, None
+    trace: list[tuple[int, float, float, float]] = []
+    for n in range(1, net_base.B + 1):
+        phy_n = replace(phy_base, theta=theta_for(phy_base, n))
+        eta_hat = optimal_eta_esr(density, omega(phy_n.theta, phy_n.alpha), phy_n.r, phy_n.alpha)
+        eta_esr = min(eta_hat, xi / n)
+        aoi_esr = _aoi_at(phy_n, net_base, n, eta_esr)
+        aoi_ecr = _aoi_at(phy_n, net_base, n, 1.0)
+        trace.append((n, eta_esr, aoi_esr, aoi_ecr))
+        aoi, eta, regime = (aoi_esr, eta_esr, "ESR") if aoi_esr <= aoi_ecr else (aoi_ecr, 1.0, "ECR")
+        if not aoi <= best_aoi:  # a NaN ends the scan too
+            break
+        if aoi < best_aoi:
+            best_aoi, best = aoi, (eta, n, regime)
+    if math.isinf(best_aoi):
+        raise SaturatedAccess(f"access saturates at every codeword length up to B = {net_base.B}")
+    eta_star, n_star, regime = best
+    return OptimumResult(aoi_star=best_aoi, eta_star=eta_star, n_star=n_star, regime=regime,
+                         trace=tuple(trace))

@@ -39,7 +39,7 @@ import numpy as np
 
 from .aoi import NetworkConfig, PhyConfig
 from .energy_chain import EnergyChainConfig
-from .errors import SaturatedAccess, require_finite
+from .errors import SaturatedAccess, require_finite, require_integer
 
 __all__ = [
     "BernoulliArrivals",
@@ -91,6 +91,7 @@ class BinomialArrivals:
     p: float
 
     def __post_init__(self):
+        require_integer("BinomialArrivals", e_max=self.e_max)
         if self.e_max < 1:
             raise ValueError(f"BinomialArrivals e_max must be >= 1, got {self.e_max}")
         _require_probabilities("BinomialArrivals", p=self.p)
@@ -148,6 +149,7 @@ class PeriodicUpdates:
     period: int
 
     def __post_init__(self):
+        require_integer("PeriodicUpdates", period=self.period)
         if self.period < 1:
             raise ValueError(f"PeriodicUpdates period must be >= 1, got {self.period}")
 
@@ -202,8 +204,12 @@ class SimConfig:
     updates: UpdatePattern | None = None
 
     def __post_init__(self):
+        require_integer("SimConfig", slots=self.slots, realizations=self.realizations,
+                        seed=self.seed, warmup=self.warmup)
         if self.slots <= 0 or self.realizations <= 0:
             raise ValueError("slots and realizations must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.warmup is not None and not 0 <= self.warmup < self.slots:
             raise ValueError("warmup must lie inside the horizon")
         require_finite("SimConfig", side=self.side)

@@ -396,6 +396,8 @@ def test_phy_validation_and_db_helper():
         NetworkConfig(density=-0.1, N=1, B=1, xi=0.5, eta=0.5)
     with pytest.raises(ValueError):
         NetworkConfig(density=math.nan, N=1, B=1, xi=0.5, eta=0.5)
+    with pytest.raises(ValueError, match="integers: N"):
+        NetworkConfig(density=0.1, N=True, B=1, xi=0.5, eta=0.5)
     # an infinite transmit SNR is the noise-free link, not a non-finite input
     assert PhyConfig(alpha=3.8, r=3.0, tx_snr=math.inf, theta=1.0, eps=0.0).noise_exponent == 0.0
 

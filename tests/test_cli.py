@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -722,6 +723,17 @@ def test_shipped_recipes_parse():
     for path in recipes:
         spec = ExperimentSpec.from_dict(json.loads(path.read_text()), fallback_name=path.stem)
         assert spec.kind in ("steady_state", "threshold", "aoi_curve", "optimize", "simulate")
+
+
+def test_analytic_recipes_reproduce_their_pinned_hashes(tmp_path):
+    # recipes/analytic.sha256 pins the CSV of every recipe without a sim section
+    lines = (RECIPES / "analytic.sha256").read_text().splitlines()
+    pinned = {name: digest for digest, name in (line.split() for line in lines)}
+    analytic = [p for p in sorted(RECIPES.glob("*.json")) if "sim" not in json.loads(p.read_text())["params"]]
+    assert sorted(f"{p.stem}.csv" for p in analytic) == sorted(pinned)
+    for path in analytic:
+        assert main(["--spec", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in pinned} == pinned
 
 
 @pytest.mark.slow

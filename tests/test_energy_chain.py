@@ -571,3 +571,7 @@ def test_config_validation():
         EnergyChainConfig(N=1, B=1, xi=0.0, eta=0.5)
     with pytest.raises(ValueError):
         EnergyChainConfig(N=1, B=1, xi=0.5, eta=1.5)
+    for n, b, field in ((2.5, 10, "N"), (2, 10.0, "B"), (True, 10, "N")):
+        with pytest.raises(ValueError, match=f"integers: {field}"):
+            EnergyChainConfig(n, b, 0.5, 0.5)
+    assert EnergyChainConfig(np.int64(2), np.int64(10), 0.5, 0.5).B == 10

@@ -1,10 +1,21 @@
-"""Shared helpers: the bisection behind every monotone root find."""
+"""Shared helpers: the count check and the bisection behind every monotone root find."""
 
 import math
 
+import numpy as np
 import pytest
 
-from ehaoi.errors import bisect_increasing
+from ehaoi.errors import bisect_increasing, require_integer
+
+
+def test_require_integer_accepts_python_and_numpy_integers_and_unset():
+    require_integer("Owner", a=3, b=np.int64(-2), c=np.uint8(7), d=None)
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), 2.0, np.float64(3.0), 2.5, "3"])
+def test_require_integer_refuses_other_values_by_name(value):
+    with pytest.raises(ValueError, match=r"^Owner fields must be integers: b$"):
+        require_integer("Owner", a=1, b=value)
 
 
 def _recording(f):

@@ -131,6 +131,10 @@ def test_config_validation():
     for rate in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             CodingConfig(k=100, N=1, target_rate=rate, eps=1e-6)
+    with pytest.raises(ValueError, match="integers: k"):
+        CodingConfig(k=100.5, N=1, target_rate=0.825, eps=1e-6)
+    with pytest.raises(ValueError, match="integers: N"):
+        CodingConfig(k=100, N=True, target_rate=0.825, eps=1e-6)
 
 
 @pytest.mark.parametrize("n", [1, 3, 10, 100, 1000])

@@ -589,3 +589,13 @@ def test_sim_config_validation():
     for side in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             SimConfig(slots=10, realizations=1, seed=1, side=side)
+    for field, value in (("slots", 200.5), ("realizations", 2.0), ("seed", True), ("warmup", 5.0)):
+        fields = dict(slots=200, realizations=2, seed=1, side=10.0, warmup=None) | {field: value}
+        with pytest.raises(ValueError, match=f"integers: {field}"):
+            SimConfig(**fields)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        SimConfig(slots=10, realizations=1, seed=-1, side=10.0)
+    with pytest.raises(ValueError, match="integers: e_max"):
+        BinomialArrivals(e_max=2.5, p=0.2)
+    with pytest.raises(ValueError, match="integers: period"):
+        PeriodicUpdates(2.5)
