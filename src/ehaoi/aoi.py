@@ -21,7 +21,6 @@ from .energy_chain import (
     EnergyChainConfig,
     SteadyState,
     char_root,
-    char_root_approx,
     prob_energy_sufficient,
 )
 from .errors import NeverSufficient, OutOfRegime, SaturatedAccess, require_finite
@@ -172,6 +171,8 @@ def interval_moments(ss: SteadyState, cfg: EnergyChainConfig) -> IntervalMoments
     Driven by the stationary buffer occupancy just after a transmission:
     levels N..2N-1 decide how many units must still be harvested (levels
     beyond the stored vector count as empty for undersized buffers).
+    Raises OutOfRegime where a moment is not a finite float: xi or eta so
+    small that a rate underflows or a moment overflows.
     """
     n, xi, eta = cfg.N, cfg.xi, cfg.eta
     p_suf = prob_energy_sufficient(ss, n)
@@ -184,13 +185,21 @@ def interval_moments(ss: SteadyState, cfg: EnergyChainConfig) -> IntervalMoments
     acc1 = math.fsum((n - i - xi) * s_at(n + i) for i in range(n))
     acc2 = math.fsum((n - i) * (n - i + 1.0 - 3.0 * xi) * s_at(n + i) for i in range(n))
     accp = math.fsum(s_at(n + i) for i in range(n))
-    mean = 1.0 / eta + acc1 / (xi * p_suf)
-    second = (
-        (2.0 - eta) / eta**2
-        + acc2 / (xi**2 * p_suf)
-        + 2.0 * acc1 / (xi * eta * p_suf)
-        + accp / p_suf
-    )
+    try:
+        mean = 1.0 / eta + acc1 / (xi * p_suf)
+        second = (
+            (2.0 - eta) / eta**2
+            + acc2 / (xi**2 * p_suf)
+            + 2.0 * acc1 / (xi * eta * p_suf)
+            + accp / p_suf
+        )
+    except (ZeroDivisionError, OverflowError):
+        mean = second = math.nan
+    if not (math.isfinite(mean) and math.isfinite(second)):
+        raise OutOfRegime(
+            f"interval_moments: the attempt interval at xi = {xi}, eta = {eta} overflows a float;"
+            " updates are too rare"
+        )
     return IntervalMoments(mean=mean, second=second)
 
 
@@ -288,21 +297,17 @@ def zeta_rectification(n: int, eta: float, xi: float, z: float) -> float:
 
 
 @_finite_age
-def network_aoi_large_buffer(
-    net: NetworkConfig, phy: PhyConfig, use_approx_root: bool = False
-) -> float:
+def network_aoi_large_buffer(net: NetworkConfig, phy: PhyConfig) -> float:
     """Infinite-buffer network average AoI, both energy regimes.
 
-    Scarce energy (xi < N eta): ALOHA at rate xi/N plus the root-dependent
-    rectification; abundant energy (N eta <= xi): ALOHA at rate eta.  The
-    characteristic root is the exact bisection root unless
-    ``use_approx_root`` asks for the closed-form surrogate (useful for gap
-    studies against the surrogate-based expressions).
+    Scarce energy (xi < N eta): ALOHA at rate xi/N plus the rectification
+    at the exact characteristic root; abundant energy (N eta <= xi): ALOHA
+    at rate eta.
     """
     n, xi, eta = net.N, net.xi, net.eta
     if n * eta <= xi:
         return slotted_aloha_aoi(eta, net, phy)
-    root = char_root_approx(n, xi, eta) if use_approx_root else char_root(n, xi, eta)
+    root = char_root(n, xi, eta)
     if root == 1.0:
         # rounding placed N eta microscopically above xi: both regime
         # expressions meet at the ALOHA value there

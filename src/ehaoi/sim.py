@@ -17,8 +17,8 @@ probability
     (1 - eps) exp(-theta noise / L_ii) prod_{j active, j != i} 1 / (1 + theta L_ji / L_ii),
 
 where L_ji is the path loss from source j to receiver i.  ``run`` draws one
-uniform per attempt against that probability; ``LinkSimulation.step`` keeps
-explicit fades as the independent per-slot reference.  ``run`` works in two
+uniform per attempt against that probability; the per-slot reference engine
+in ``tests/test_sim.py`` draws explicit fades instead.  ``run`` works in two
 phases over chunks of slots.  Phase A scans the buffers of every link of
 every realization at once, several slots per table gather, since buffers
 never read decoding outcomes.  Phase B decodes each realization's attempts,
@@ -50,7 +50,6 @@ __all__ = [
     "SimConfig",
     "Topology",
     "SimReport",
-    "LinkSimulation",
     "sample_topology",
     "run",
 ]
@@ -279,76 +278,6 @@ def _markov_step(pattern: TwoStateMarkovArrivals, good: np.ndarray, u: np.ndarra
     return arr
 
 
-class LinkSimulation:
-    """Per-slot reference engine for one realization over a fixed topology.
-
-    Public state: ``kappa`` (buffer levels), ``aoi`` (current ages),
-    ``slot`` (next slot index).  ``step()`` advances one slot and returns
-    the active indices, the success mask, and the arrival counts, so the
-    per-slot semantics are directly testable.  ``run`` does not step it:
-    the batched engine takes its link constants and starting state from
-    here and is checked against ``step()`` in distribution.
-    """
-
-    def __init__(self, topology: Topology, phy: PhyConfig, chain: EnergyChainConfig,
-                 arrivals: ArrivalPattern, updates: UpdatePattern, rng: np.random.Generator):
-        self.rng = rng
-        self.n = topology.n_links
-        self.N, self.B = chain.N, chain.B
-        self.theta, self.eps = phy.theta, phy.eps
-        self.noise = 0.0 if math.isinf(phy.tx_snr) else 1.0 / phy.tx_snr
-        # a source on a receiver, or one under 1 m away at a huge alpha: infinite path loss
-        with np.errstate(divide="ignore", over="ignore"):
-            self.pathloss = topology.torus_distances() ** (-phy.alpha)
-        self.arrivals, self.updates = arrivals, updates
-        self.kappa = np.zeros(self.n, dtype=np.int64)  # buffers start empty
-        self.aoi = np.zeros(self.n, dtype=np.int64)
-        self.slot = 0
-        self.phase = self.markov_good = None
-        if isinstance(updates, PeriodicUpdates):
-            self.phase = rng.integers(0, updates.period, size=self.n)
-        if isinstance(arrivals, TwoStateMarkovArrivals):
-            # start in the stationary split, so the rate is mean_rate from slot one
-            p_good = arrivals.p_bad_to_good / (arrivals.p_good_to_bad + arrivals.p_bad_to_good)
-            self.markov_good = rng.random(self.n) < p_good
-
-    def step(self):
-        """Advance one slot; returns (active_idx, success_mask, arrivals).
-
-        Activation requires kappa >= N at the slot start; the same slot's
-        arrival is banked afterwards, and anything beyond B is discarded.
-        """
-        arrivals = self.arrivals
-        if isinstance(arrivals, BernoulliArrivals):
-            arr = self.rng.random(self.n) < arrivals.xi
-        elif isinstance(arrivals, BinomialArrivals):
-            arr = self.rng.binomial(arrivals.e_max, arrivals.p, size=self.n)
-        else:
-            arr = _markov_step(arrivals, self.markov_good, self.rng.random((2, self.n)))
-        arr = arr.astype(np.int64)
-        can = self.kappa >= self.N
-        if self.phase is not None:
-            active = can & ((self.slot + self.phase) % self.updates.period == 0)
-        else:
-            active = can & (self.rng.random(self.n) < self.updates.eta)
-        idx = np.flatnonzero(active)
-        success = np.zeros(self.n, dtype=bool)
-        if idx.size:
-            fade = self.rng.standard_exponential((idx.size, idx.size))
-            power = fade * self.pathloss[np.ix_(idx, idx)]
-            sig = power.diagonal().copy()
-            interference = power.sum(axis=0) - sig
-            ok = sig > self.theta * (interference + self.noise)
-            if self.eps > 0.0:
-                ok &= self.rng.random(idx.size) >= self.eps
-            success[idx[ok]] = True
-        self.aoi += 1
-        self.aoi[success] = 1
-        self.kappa = np.minimum(self.kappa - self.N * active + arr, self.B)
-        self.slot += 1
-        return idx, success, arr
-
-
 def _default_warmup(n_units: int, arrivals: ArrivalPattern, updates: UpdatePattern, slots: int) -> int:
     """10 max(N / mean arrival rate, 1 / eta) slots, at most half the horizon."""
     eta_eff = updates.eta if isinstance(updates, BernoulliUpdates) else 1.0 / updates.period
@@ -363,7 +292,9 @@ class _Realization:
     Arrivals, activations and decode coins each have their own ``SFC64``
     substream, seeded from a child of the realization's seed sequence and
     consumed in slot order, so the way the slots are chunked never shifts a
-    stream.
+    stream.  The arrivals substream first draws the periodic phases, then
+    the Markov start states.  ``tests/test_sim.py`` holds the per-slot
+    reference engine, with explicit fades, that this one is checked against.
     """
 
     def __init__(self, ridx: int, sim: SimConfig, phy: PhyConfig, net: NetworkConfig,
@@ -374,26 +305,35 @@ class _Realization:
             topology = sample_topology(net.density, sim.side, phy.r, rng)
         self.arr_rng, self.act_rng, self.coin_rng = (
             np.random.Generator(np.random.SFC64(child)) for child in seq.spawn(3))
-        # the periodic phase and the Markov start come from the arrivals substream
-        self.link = LinkSimulation(topology, phy, net.chain, arrivals, updates, self.arr_rng)
         self.n = topology.n_links
+        self.eps = phy.eps
+        self.phase = self.markov_good = None
+        if isinstance(updates, PeriodicUpdates):
+            self.phase = self.arr_rng.integers(0, updates.period, size=self.n)
+        if isinstance(arrivals, TwoStateMarkovArrivals):
+            # start in the stationary split, so the rate is mean_rate from slot one
+            p_good = arrivals.p_bad_to_good / (arrivals.p_good_to_bad + arrivals.p_bad_to_good)
+            self.markov_good = self.arr_rng.random(self.n) < p_good
+        # a source on a receiver, or one under 1 m away at a huge alpha: infinite path loss
+        with np.errstate(divide="ignore", over="ignore"):
+            pathloss = topology.torus_distances() ** -phy.alpha
         # -log P(link i decodes) = c_i + sum of G[j, i] over the other active j,
         # with G[j, i] = log1p(theta L_ji / L_ii).  G is kept in whole units of
         # a power of two so small that every column sum is an integer below
         # 2^53: all partial sums of the product in decode are then exact, and
         # no blocking or thread count of the BLAS can change a bit.  The
         # rounding moves -log P by at most n quantum / 2 (2e-9 at 144 links).
-        theta, pathloss = self.link.theta, self.link.pathloss
         own = pathloss.diagonal()
         if not own.all():
             raise SaturatedAccess(
                 f"path loss r^-alpha = {phy.r}^-{phy.alpha} underflows a float: links never decode"
             )
-        gain = np.minimum(np.log1p(theta * pathloss / own), _GAIN_CAP)
+        gain = np.minimum(np.log1p(phy.theta * pathloss / own), _GAIN_CAP)
         np.fill_diagonal(gain, 0.0)
         self.quantum = 2.0 ** (math.ceil(math.log2(max(self.n, 1) * _GAIN_CAP)) - 53)
         self.gain = np.rint(gain / self.quantum)  # [source j, receiver i]
-        self.noise_term = theta * self.link.noise / own  # c_i
+        noise = 0.0 if math.isinf(phy.tx_snr) else 1.0 / phy.tx_snr
+        self.noise_term = phy.theta * noise / own  # c_i
 
     def decode(self, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Phase B: the slots and links of the attempts in one chunk that succeed.
@@ -405,7 +345,7 @@ class _Realization:
         slot, link = np.divmod(flat, self.n)
         neg_log_p = (active.astype(np.float64) @ self.gain).ravel()[flat] * self.quantum
         neg_log_p += self.noise_term[link]
-        ok = self.coin_rng.random(flat.size) < (1.0 - self.link.eps) * np.exp(-neg_log_p)
+        ok = self.coin_rng.random(flat.size) < (1.0 - self.eps) * np.exp(-neg_log_p)
         return slot[ok], link[ok]
 
 
@@ -512,8 +452,8 @@ def _buffer_scan(reals: list[_Realization], slots: int, chain: EnergyChainConfig
     k, table = _level_table(chain, top)
     symbols = 2 * (top + 1)
     index = np.empty(width, dtype=np.intp)
-    good = flat(lambda r: r.link.markov_good, axis=0) if isinstance(arrivals, TwoStateMarkovArrivals) else None
-    phase = flat(lambda r: r.link.phase, axis=0) if isinstance(updates, PeriodicUpdates) else None
+    good = flat(lambda r: r.markov_good, axis=0) if isinstance(arrivals, TwoStateMarkovArrivals) else None
+    phase = flat(lambda r: r.phase, axis=0) if isinstance(updates, PeriodicUpdates) else None
     levels = np.zeros((1, width), dtype=table.dtype)  # row 0: the level before the chunk
     for t0 in range(0, slots, rows_max):
         rows = min(rows_max, slots - t0)

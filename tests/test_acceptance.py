@@ -26,6 +26,7 @@ from ehaoi.aoi import (
     network_aoi_large_buffer,
     network_aoi_small_buffer,
     omega,
+    zeta_rectification,
 )
 from ehaoi.energy_chain import (
     EnergyChainConfig,
@@ -355,10 +356,8 @@ def test_criterion_07_ecr_structure():
         if network_aoi_large_buffer(NetworkConfig(0.01, n, 100, xi, float(eta)), phy) < best - 1e-9:
             problems.append(f"eta={eta:.3f} beats greedy")
     eta_edge = (xi / n) * (1.0 + 1e-9)
-    gap_surrogate = (
-        network_aoi_large_buffer(NetworkConfig(0.01, n, 100, xi, eta_edge), phy, use_approx_root=True)
-        - best
-    )
+    # greedy updating has no rectification: the surrogate's boundary gap is its rectification
+    gap_surrogate = zeta_rectification(n, eta_edge, xi, char_root_approx(n, xi, eta_edge))
     gap_exact_root = (
         network_aoi_large_buffer(NetworkConfig(0.01, n, 100, xi, eta_edge), phy) - best
     )

@@ -29,6 +29,7 @@ from ehaoi.energy_chain import (
     SteadyState,
     build_transition_matrix,
     char_root,
+    char_root_approx,
     solve_steady_numeric,
     steady_closed_n1,
     steady_state,
@@ -114,6 +115,16 @@ def test_age_out_of_float_range_is_out_of_regime(xi, eta):
         network_aoi_general(steady_state(net.chain), net, PHY_13DB)
     with pytest.raises(OutOfRegime):
         network_aoi_large_buffer(net, PHY_13DB)
+
+
+@pytest.mark.parametrize("xi, eta", [(0.5, 1e-300), (1e-160, 1e-160)],
+                         ids=["eta-squared-underflows", "second-moment-overflows"])
+def test_interval_moments_out_of_float_range_is_out_of_regime(xi, eta):
+    # eta^2 underflows to 0, a division by zero; or 1/eta^2 is past any float,
+    # so the second moment is inf and squaring the mean to check it overflows
+    cfg = EnergyChainConfig(N=2, B=6, xi=xi, eta=eta)
+    with pytest.raises(OutOfRegime, match="interval_moments"):
+        interval_moments(steady_state(cfg), cfg)
 
 
 @pytest.mark.slow
@@ -336,15 +347,12 @@ def test_ecr_minimized_at_greedy_for_multi_unit():
 
 
 def test_ecr_boundary_gap_with_surrogate_root():
-    # evaluated with the closed-form root, the boundary excess is N/xi - 1
+    # greedy updating has no rectification, so the boundary excess over it is
+    # the boundary's rectification; with the closed-form root it is N/xi - 1
     n, xi = 5, 0.3
     eta = (xi / n) * (1.0 + 1e-9)
-    base = NetworkConfig(density=0.01, N=n, B=100, xi=xi, eta=eta)
-    lo = network_aoi_large_buffer(base, PHY_13DB, use_approx_root=True)
-    hi = network_aoi_large_buffer(
-        NetworkConfig(density=0.01, N=n, B=100, xi=xi, eta=1.0), PHY_13DB
-    )
-    assert lo - hi == pytest.approx(n / xi - 1.0, abs=1e-6)
+    gap = zeta_rectification(n, eta, xi, char_root_approx(n, xi, eta))
+    assert gap == pytest.approx(n / xi - 1.0, abs=1e-6)
 
 
 def test_ecr_boundary_gap_with_exact_root():

@@ -25,7 +25,6 @@ from ehaoi.sim import (
     BernoulliArrivals,
     BernoulliUpdates,
     BinomialArrivals,
-    LinkSimulation,
     PeriodicUpdates,
     SimConfig,
     SimReport,
@@ -36,6 +35,81 @@ from ehaoi.sim import (
 )
 
 CLEAN = PhyConfig(alpha=3.8, r=3.0, tx_snr=float("inf"), theta=1.0, eps=0.0)
+
+
+# ---------------------------------------------------------------------------
+# per-slot reference engine
+# ---------------------------------------------------------------------------
+
+class LinkSimulation:
+    """Per-slot reference engine for one realization over a fixed topology.
+
+    Public state: ``kappa`` (buffer levels), ``aoi`` (current ages),
+    ``slot`` (next slot index).  ``step()`` advances one slot and returns
+    the active indices, the success mask, and the arrival counts, so the
+    per-slot semantics are directly testable.  It draws every fade
+    explicitly and shares no stepping code with ``ehaoi.sim.run``, which
+    is checked against it in distribution.
+    """
+
+    def __init__(self, topology, phy, chain, arrivals, updates, rng):
+        self.rng = rng
+        self.n = topology.n_links
+        self.N, self.B = chain.N, chain.B
+        self.theta, self.eps = phy.theta, phy.eps
+        self.noise = 0.0 if math.isinf(phy.tx_snr) else 1.0 / phy.tx_snr
+        # a source on a receiver, or one under 1 m away at a huge alpha: infinite path loss
+        with np.errstate(divide="ignore", over="ignore"):
+            self.pathloss = topology.torus_distances() ** (-phy.alpha)
+        self.arrivals, self.updates = arrivals, updates
+        self.kappa = np.zeros(self.n, dtype=np.int64)  # buffers start empty
+        self.aoi = np.zeros(self.n, dtype=np.int64)
+        self.slot = 0
+        self.phase = self.markov_good = None
+        if isinstance(updates, PeriodicUpdates):
+            self.phase = rng.integers(0, updates.period, size=self.n)
+        if isinstance(arrivals, TwoStateMarkovArrivals):
+            # start in the stationary split, so the rate is mean_rate from slot one
+            p_good = arrivals.p_bad_to_good / (arrivals.p_good_to_bad + arrivals.p_bad_to_good)
+            self.markov_good = rng.random(self.n) < p_good
+
+    def step(self):
+        """Advance one slot; returns (active_idx, success_mask, arrivals).
+
+        Activation requires kappa >= N at the slot start; the same slot's
+        arrival is banked afterwards, and anything beyond B is discarded.
+        """
+        arrivals, good = self.arrivals, self.markov_good
+        if isinstance(arrivals, BernoulliArrivals):
+            arr = self.rng.random(self.n) < arrivals.xi
+        elif isinstance(arrivals, BinomialArrivals):
+            arr = self.rng.binomial(arrivals.e_max, arrivals.p, size=self.n)
+        else:
+            u = self.rng.random((2, self.n))
+            arr = u[0] < np.where(good, arrivals.xi_good, arrivals.xi_bad)
+            good ^= u[1] < np.where(good, arrivals.p_good_to_bad, arrivals.p_bad_to_good)
+        arr = arr.astype(np.int64)
+        can = self.kappa >= self.N
+        if self.phase is not None:
+            active = can & ((self.slot + self.phase) % self.updates.period == 0)
+        else:
+            active = can & (self.rng.random(self.n) < self.updates.eta)
+        idx = np.flatnonzero(active)
+        success = np.zeros(self.n, dtype=bool)
+        if idx.size:
+            fade = self.rng.standard_exponential((idx.size, idx.size))
+            power = fade * self.pathloss[np.ix_(idx, idx)]
+            sig = power.diagonal().copy()
+            interference = power.sum(axis=0) - sig
+            ok = sig > self.theta * (interference + self.noise)
+            if self.eps > 0.0:
+                ok &= self.rng.random(idx.size) >= self.eps
+            success[idx[ok]] = True
+        self.aoi += 1
+        self.aoi[success] = 1
+        self.kappa = np.minimum(self.kappa - self.N * active + arr, self.B)
+        self.slot += 1
+        return idx, success, arr
 
 
 def single_link_topology(side=20.0, r=3.0):
@@ -336,7 +410,9 @@ def test_interference_sums_are_exact():
     whole = real.gain.astype(np.int64)
     assert np.array_equal(whole, real.gain)
     assert whole.sum(axis=0).max() < 2**53
-    exact = np.log1p(phy.theta * real.link.pathloss / real.link.pathloss.diagonal())
+    with np.errstate(divide="ignore"):
+        pathloss = topo.torus_distances() ** -phy.alpha
+    exact = np.log1p(phy.theta * pathloss / pathloss.diagonal())
     np.fill_diagonal(exact, 0.0)
     assert real.gain[1, 0] * real.quantum == sim_module._GAIN_CAP
     finite = np.isfinite(exact)
@@ -344,6 +420,24 @@ def test_interference_sums_are_exact():
     active = rng.random((300, n)) < 0.6
     product = active.astype(np.float64) @ real.gain
     assert np.array_equal(product, active.astype(np.int64) @ whole)
+
+
+def test_realization_draws_phases_then_markov_starts_from_the_arrivals_substream():
+    # the arrivals substream is child 0 of the realization's seed sequence; it
+    # gives the periodic phases first, then the stationary Markov start states
+    arrivals = TwoStateMarkovArrivals(xi_good=0.8, xi_bad=0.2, p_good_to_bad=0.3, p_bad_to_good=0.1)
+    updates = PeriodicUpdates(5)
+    net = NetworkConfig(density=0.01, N=2, B=10, xi=0.5, eta=0.5)
+    sim = SimConfig(slots=10, realizations=1, seed=14, side=60.0, arrivals=arrivals, updates=updates)
+    real = sim_module._Realization(0, sim, CLEAN, net, arrivals, updates, None)
+    child = np.random.SeedSequence(entropy=sim.seed, spawn_key=(0,)).spawn(3)[0]
+    rng = np.random.Generator(np.random.SFC64(child))
+    phase = rng.integers(0, updates.period, real.n)
+    p_good = arrivals.p_bad_to_good / (arrivals.p_good_to_bad + arrivals.p_bad_to_good)
+    good = rng.random(real.n) < p_good
+    assert real.n > 20 and len(set(phase.tolist())) == updates.period and 0 < good.sum() < real.n
+    assert np.array_equal(real.phase, phase)
+    assert np.array_equal(real.markov_good, good)
 
 
 # four links on a 50 m torus, each with its own length, and interference that
