@@ -133,9 +133,9 @@ def _pattern(**classes: str) -> Callable[[str, Any], Any]:
 _NET = {"density": _number, "N": _integer, "B": _integer, "xi": _number, "eta": _number}
 _NET_SECTION = _section(_NET, tuple(_NET))
 _PHY_SECTION = _section(
-    {"alpha": _number, "r": _number, "snr_db": _number, "tx_snr": _number, "theta": _number,
-     "eps": _number, "target_rate": _number, "bits_per_unit": _integer},
-    ("alpha", "r", "eps"),
+    {"alpha": _number, "r": _number, "snr_db": _number, "theta": _number, "eps": _number,
+     "target_rate": _number, "bits_per_unit": _integer},
+    ("alpha", "r", "snr_db", "eps"),
 )
 _SIM_SECTION = _section(
     {"slots": _integer, "realizations": _integer, "seed": _integer, "side": _number,
@@ -202,12 +202,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
 
 def _phy(doc: dict, n_units: int) -> PhyConfig:
     """The phy section as read; a missing theta is solved for ``n_units`` energy units."""
-    if "snr_db" not in doc and "tx_snr" not in doc:
-        raise BadConfig("phy needs snr_db or tx_snr")
     phy = PhyConfig(
         alpha=doc["alpha"],
         r=doc["r"],
-        tx_snr=db_to_linear(doc["snr_db"]) if "snr_db" in doc else doc["tx_snr"],
+        tx_snr=db_to_linear(doc["snr_db"]),
         theta=doc.get("theta", 1.0),  # a stand-in until theta_for replaces it
         eps=doc["eps"],
         target_rate=doc.get("target_rate"),
@@ -254,12 +252,10 @@ def _run_steady_state(spec: ExperimentSpec, seed_override):
 
 def _run_threshold(spec: ExperimentSpec, seed_override):
     p = spec.args
-    if "eps" in p and "eps_values" in p:
-        raise BadConfig("threshold params hold both 'eps' and 'eps_values'; keep one")
     header = ["blocklength", "eps", "exact", "approx", "abs_gap"]
     rows = []
     for n in p.get("n_values", [1]):
-        for eps in p.get("eps_values", [p.get("eps", 1e-6)]):
+        for eps in p.get("eps_values", [1e-6]):
             coding = CodingConfig(k=p["bits_per_unit"], N=n, target_rate=p["target_rate"], eps=eps)
             exact = effective_threshold_exact(coding)
             approx = effective_threshold_approx(coding)
@@ -289,7 +285,8 @@ def _run_curve(spec: ExperimentSpec, seed_override):
         else:
             report = run(sim_cfg, phy, net)
             rows.append([value, analytic, report.network_aoi, report.ci_halfwidth])
-    return header, rows, {"formula": formula, "simulated": sim_cfg is not None}
+    extra = {"formula": formula, "simulated": sim_cfg is not None}
+    return header, rows, extra if sim_cfg is None else {**extra, "seed": sim_cfg.seed}
 
 
 def _run_optimize(spec: ExperimentSpec, seed_override):
@@ -337,7 +334,7 @@ _RUNNERS = {
     "steady_state": (_run_steady_state, {"net": _NET_SECTION}, ("net",), False),
     "threshold": (_run_threshold,
                   {"bits_per_unit": _integer, "target_rate": _number, "n_values": _integers,
-                   "eps_values": _numbers, "eps": _number},
+                   "eps_values": _numbers},
                   ("bits_per_unit", "target_rate"), False),
     "aoi_curve": (_run_curve, {**_PHY_NET, "formula": _text, "sim": _SIM_SECTION},
                   ("phy", "net"), True),

@@ -20,6 +20,7 @@ companion-matrix roots and its small complex solve.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -47,6 +48,7 @@ __all__ = [
 
 # Pre-normalization closed-form mass must land this close to 1.
 _MASS_TOL = 1e-9
+_RESIDUAL_TOL = 1e-12  # the oracle's balance residual ||s P - s||_inf must not exceed this
 
 
 @dataclass(frozen=True)
@@ -138,7 +140,7 @@ def build_transition_matrix(cfg: EnergyChainConfig) -> list[list[float]]:
     return [drop_n, drop_n1, *([0.0] * (b + 1) for _ in range(n - 2)), hold, gain]
 
 
-def solve_steady_numeric(bands: Sequence[Sequence[float]], tol: float = 1e-12) -> SteadyState:
+def solve_steady_numeric(bands: Sequence[Sequence[float]]) -> SteadyState:
     """Stationary vector of a skip-free-upward chain held by its bands.
 
     ``bands`` is K+2 equal-length sequences of m floats (lists, or the
@@ -162,10 +164,10 @@ def solve_steady_numeric(bands: Sequence[Sequence[float]], tol: float = 1e-12) -
     substitution adds the band's products and the constant times a running
     suffix sum of the solution.  O(m K) time and memory on Python floats.
 
-    The result is verified by the residual ||s P - s||_inf <= tol, taken
+    The result is verified by the residual ||s P - s||_inf <= 1e-12, taken
     from the bands.  An exact zero pivot means the chain has more than one
     closed class, so the stationary law is not unique; that, a residual
-    above tol, and an entry below -tol raise NonConvergence.
+    above 1e-12, and an entry below -1e-12 raise NonConvergence.
     """
     try:
         bands = [list(map(float, band)) for band in bands]
@@ -230,8 +232,8 @@ def solve_steady_numeric(bands: Sequence[Sequence[float]], tol: float = 1e-12) -
         for i in range(max(0, -shift), min(m, m - shift)):
             flow[i + shift] += s[i] * band[i]
     residual = math.nan if any(map(math.isnan, flow)) else max(map(abs, flow))
-    if not residual <= tol or any(v < -tol for v in s):  # a NaN residual fails too
-        raise NonConvergence(f"stationary residual {residual:.3e} above tol {tol:.3e}")
+    if not residual <= _RESIDUAL_TOL or any(v < -_RESIDUAL_TOL for v in s):  # a NaN residual fails too
+        raise NonConvergence(f"stationary residual {residual:.3e} above tol {_RESIDUAL_TOL:.3e}")
     # -0.0 becomes 0.0 too, so no level prints as -0
     return SteadyState(probs=_normalized([v if v > 0.0 else 0.0 for v in s]))
 
@@ -308,8 +310,28 @@ def char_root_approx(n: int, xi: float, eta: float) -> float:
 # Closed-form stationary distributions
 # ---------------------------------------------------------------------------
 
+def _in_float_range(law):
+    """``law``, raising OutOfRegime where its arithmetic leaves the float range.
+
+    ``cfg`` is valid, so an ArithmeticError or a ValueError (numpy's
+    LinAlgError among them) means xi, eta or 1 - xi is too close to 0.
+    """
+
+    @functools.wraps(law)
+    def checked(cfg: EnergyChainConfig) -> SteadyState:
+        try:
+            return law(cfg)
+        except (ArithmeticError, ValueError) as exc:
+            raise OutOfRegime(f"{law.__name__} leaves the float range at xi = {cfg.xi!r},"
+                              f" eta = {cfg.eta!r}: {exc}") from exc
+
+    return checked
+
+
 def _finalize(raw: list[float]) -> SteadyState:
     total = math.fsum(raw)
+    if not math.isfinite(total):
+        raise FloatingPointError(f"closed-form mass {total!r} is not finite")
     if abs(total - 1.0) > _MASS_TOL:
         raise NonConvergence(
             f"closed-form mass {total!r} deviates from 1 beyond {_MASS_TOL}"
@@ -317,6 +339,7 @@ def _finalize(raw: list[float]) -> SteadyState:
     return SteadyState(probs=[v / total for v in raw])
 
 
+@_in_float_range
 def steady_closed_n1(cfg: EnergyChainConfig) -> SteadyState:
     """Single-unit consumption, any finite buffer.
 
@@ -340,6 +363,7 @@ def steady_closed_n1(cfg: EnergyChainConfig) -> SteadyState:
     return _finalize(s)
 
 
+@_in_float_range
 def steady_closed_small_buffer(cfg: EnergyChainConfig) -> SteadyState:
     """Multi-unit consumption with a small buffer, N <= B <= 2N.
 
@@ -419,6 +443,7 @@ def _interior_roots(n: int, xi: float, eta: float):
     return roots
 
 
+@_in_float_range
 def steady_closed_large_buffer(cfg: EnergyChainConfig) -> SteadyState:
     """Multi-unit consumption with a large buffer, B >= 3N + 1.
 

@@ -54,9 +54,7 @@ __all__ = [
     "run",
 ]
 
-_CHUNK = 4096  # most slots per phase A chunk
 _CELLS = 1 << 17  # most slot x link cells per phase A chunk
-_BLOCK = 8  # most slots per phase A gather
 _TABLE = 1 << 18  # most entries of the phase A level table
 _GAIN_CAP = 1024.0  # exp(-1024) is 0.0, so a larger log-gain decides nothing more
 
@@ -415,11 +413,13 @@ def _level_table(chain: EnergyChainConfig, top: int) -> tuple[int, np.ndarray]:
     A slot's symbol is gate (top + 1) + arrivals, one of S = 2 (top + 1); a
     block's word spells its k symbols in base S, first slot lowest.
     table[j, word (B + 1) + level] is the level after slot j of the block
-    from that level.  k is the largest value up to _BLOCK whose table holds
-    at most _TABLE entries, or 1.
+    from that level.  k is the largest value whose table holds at most
+    _TABLE entries, or 1.
     """
     symbols, depth = 2 * (top + 1), chain.B + 1
-    k = max([1] + [j for j in range(1, _BLOCK + 1) if symbols**j * depth * j <= _TABLE])
+    k = 1
+    while symbols ** (k + 1) * depth * (k + 1) <= _TABLE:
+        k += 1
     lv = np.arange(depth)
     gate, arrivals = np.divmod(np.arange(symbols), top + 1)
     fire = (lv >= chain.N) & (gate[:, None] == 1)
@@ -439,11 +439,11 @@ def _buffer_scan(reals: list[_Realization], slots: int, chain: EnergyChainConfig
     Buffers never read decoding outcomes, so one loop over the slots runs
     on a flat vector holding every link of every realization.  Its body is
     a single gather from a table of the next k levels indexed by (block
-    word, level), see _level_table.  Chunks hold at most _CELLS slot x link
-    cells.
+    word, level), see _level_table.  A chunk holds _CELLS // width slots,
+    at least one, where width is the number of links in all.
     """
     width = sum(r.n for r in reals)
-    rows_max = max(1, min(_CHUNK, _CELLS // max(width, 1)))
+    rows_max = max(1, _CELLS // width)
 
     def flat(draw, axis=1):
         return np.concatenate([draw(r) for r in reals], axis=axis)

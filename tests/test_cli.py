@@ -274,8 +274,11 @@ def _with(doc, edit):
     (_with(STEADY_DOC, lambda d: d.update(sweep={"name": "B", "values": [4, 8]})), "sweep"),
     (_with(THRESHOLD_DOC, lambda d: d["params"].update(eps_value=[1e-2])), "eps_value"),
     (_with(THRESHOLD_DOC, lambda d: d["params"].update(eps=1e-3)), "eps"),
+    (_with(SIMULATE_DOC, lambda d: d["params"]["phy"].update(tx_snr=20.0)), "tx_snr"),
+    (_with(SIMULATE_DOC, lambda d: d["params"]["phy"].pop("snr_db")), "snr_db"),
 ], ids=["simulate-sweep", "threshold-sweep", "top-level-typo", "simulate-formula",
-        "optimize-sim", "steady-sweep", "threshold-eps_value", "threshold-eps-and-eps_values"])
+        "optimize-sim", "steady-sweep", "threshold-eps_value", "threshold-eps", "phy-tx_snr",
+        "phy-without-snr_db"])
 def test_stray_spec_key_is_bad_config(tmp_path, capsys, doc, key):
     out = tmp_path / "out"
     assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
@@ -387,6 +390,15 @@ CURVE_DOC = {
                "net": {"density": 0.01, "N": 2, "B": 30, "xi": 0.5, "eta": 0.5}},
     "sweep": {"name": "B", "values": [8, 30]},
 }
+
+
+@pytest.mark.parametrize("doc, override, seed", [
+    (SIM_SPEC, None, 0), (SIM_SPEC, 7, 7), (CURVE_DOC, None, None),
+], ids=["sim-without-seed", "seed-override", "no-sim"])
+def test_curve_sidecar_records_the_seed_used(tmp_path, doc, override, seed):
+    # a sim section without a seed simulates with seed 0
+    paths = run_experiment(ExperimentSpec.from_dict(doc), out_dir=tmp_path, seed=override, quiet=True)
+    assert json.loads(paths[1].read_text())["seed"] == seed
 
 
 def test_analytic_specs_load_no_numpy(tmp_path):
@@ -580,7 +592,7 @@ MUTANTS = {"string": "x", "bool": True, "null": None, "list": [], "object": {}, 
 TEXT_KEYS = {"name", "kind", "output", "formula"}  # a string is the right type for these
 REQUIRED = {("kind",), ("params", "phy"), ("params", "net"), ("params", "bits_per_unit"),
             ("params", "target_rate"), ("sweep", "name"), ("sweep", "values"),
-            *(("params", "phy", key) for key in ("alpha", "r", "eps")),
+            *(("params", "phy", key) for key in ("alpha", "r", "snr_db", "eps")),
             *(("params", "net", key) for key in ("density", "N", "B", "xi", "eta"))}
 
 

@@ -99,7 +99,7 @@ def test_numeric_matches_greedy_case():
 def test_numeric_residual_and_mass():
     for (n, b, xi, eta) in [(1, 4, 0.3, 0.6), (3, 11, 0.7, 0.4), (2, 9, 0.2, 0.9)]:
         bands = build_transition_matrix(EnergyChainConfig(N=n, B=b, xi=xi, eta=eta))
-        ss = solve_steady_numeric(bands, tol=1e-12)
+        ss = solve_steady_numeric(bands)
         P = dense_view(bands)
         probs = np.asarray(ss.probs)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -533,6 +533,19 @@ def test_steady_state_out_of_float_range_is_out_of_regime(xi):
     # recursion, about 1 / up(c), outgrows the 1e100 rescaling at the second
     with pytest.raises(OutOfRegime, match="underflows|overflows"):
         steady_state(EnergyChainConfig(N=2, B=30, xi=xi, eta=0.5))
+
+
+@pytest.mark.parametrize("law, n, b, xi, eta", [
+    (steady_closed_n1, 1, 6, 0.5, 1e-300),
+    (steady_closed_small_buffer, 2, 4, 1e-300, 0.5),
+    (steady_closed_large_buffer, 2, 8, 1e-300, 0.5),
+    (steady_closed_large_buffer, 2, 8, 0.5, 1e-300),
+], ids=["n1-power-overflows", "small-buffer-power-overflows", "large-buffer-singular",
+        "large-buffer-root-bracket-overflows"])
+def test_closed_form_out_of_float_range_is_out_of_regime(law, n, b, xi, eta):
+    # a power overflows, or the mode system or the root bracket leaves the float range
+    with pytest.raises(OutOfRegime, match="leaves the float range"):
+        law(EnergyChainConfig(N=n, B=b, xi=xi, eta=eta))
 
 
 def test_steady_state_non_unique_point():

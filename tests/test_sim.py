@@ -242,7 +242,7 @@ def test_run_is_deterministic_and_thread_invariant(monkeypatch):
     sim = SimConfig(slots=800, realizations=4, seed=33, side=40.0)
     a = run(sim, phy, net)
     b = run(sim, phy, net)
-    monkeypatch.setattr(sim_module, "_CHUNK", 97)
+    monkeypatch.setattr(sim_module, "_CELLS", 97 * int(a.links.sum()))  # 97-slot chunks
     c = run(sim, phy, net)
     for x in (b, c):
         assert_same_report(x, a)
@@ -276,9 +276,8 @@ def test_run_does_not_depend_on_chunking(monkeypatch, pattern):
     phy = PhyConfig(alpha=3.8, r=3.0, tx_snr=db_to_linear(30.0), theta=1.3, eps=0.05)
     sim = SimConfig(slots=1500, realizations=3, seed=8, side=40.0, warmup=150,
                     arrivals=arrivals, updates=updates)
-    monkeypatch.setattr(sim_module, "_CHUNK", 4096)
     a = run(sim, phy, net)
-    monkeypatch.setattr(sim_module, "_CHUNK", 97)
+    monkeypatch.setattr(sim_module, "_CELLS", 97 * int(a.links.sum()))  # 97-slot chunks
     assert_same_report(run(sim, phy, net), a)
     monkeypatch.setattr(sim_module, "_CELLS", 500)
     assert_same_report(run(sim, phy, net), a)
@@ -294,6 +293,8 @@ def test_level_table_steps_the_buffer_one_slot_at_a_time(n_units, buffer, top, k
     block, table = sim_module._level_table(chain, top)
     assert block == k
     symbols = 2 * (top + 1)
+    # k is the most slots whose table fits in _TABLE entries
+    assert table.size <= sim_module._TABLE < symbols ** (k + 1) * (buffer + 1) * (k + 1)
     rng = np.random.default_rng(buffer)
     start = rng.integers(0, buffer + 1, size=2000)
     word = rng.integers(0, symbols**k, size=2000)
@@ -312,15 +313,15 @@ def test_buffer_scan_in_blocks_equals_one_slot_scan(monkeypatch, pattern, buffer
     arrivals, updates = PATTERNS[pattern]
     net = NetworkConfig(density=0.01, N=2, B=buffer, xi=0.5, eta=0.6)
     sim = SimConfig(slots=1003, realizations=2, seed=3, side=40.0, arrivals=arrivals, updates=updates)
-    monkeypatch.setattr(sim_module, "_CHUNK", 97)
 
     def scan():
         reals = [sim_module._Realization(ridx, sim, CLEAN, net, arrivals, updates, None)
                  for ridx in range(sim.realizations)]
+        monkeypatch.setattr(sim_module, "_CELLS", 97 * sum(r.n for r in reals))
         return list(sim_module._buffer_scan(reals, sim.slots, net.chain, arrivals, updates))
 
     blocks = scan()
-    monkeypatch.setattr(sim_module, "_BLOCK", 1)
+    monkeypatch.setattr(sim_module, "_TABLE", 1)  # one slot per gather
     singles = scan()
     assert len(blocks) == len(singles) == 11
     for (t0, levels, active), (u0, one_levels, one_active) in zip(blocks, singles):
