@@ -5,7 +5,8 @@ the inter-attempt interval moments driven by the energy buffer, and the
 renewal-reward age formula, together with the closed forms for the
 single-transmission buffer (B = N), greedy updating (eta = 1), and the
 infinite-buffer limit in both the energy-sufficient and energy-constrained
-regimes.
+regimes.  A formula whose arithmetic leaves the float range (updates so
+rare that an age or a moment overflows) raises OutOfRegime.
 
 All SNR-like quantities are linear inside this module; convert decibel
 inputs with :func:`db_to_linear` where they enter.
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import wraps
 
 from .energy_chain import (
     EnergyChainConfig,
@@ -23,7 +23,7 @@ from .energy_chain import (
     char_root,
     prob_energy_sufficient,
 )
-from .errors import NeverSufficient, OutOfRegime, SaturatedAccess, require_finite
+from .errors import NeverSufficient, SaturatedAccess, in_float_range, require_finite
 
 __all__ = [
     "PhyConfig",
@@ -165,6 +165,7 @@ def inv_success_moment(phy: PhyConfig, net: NetworkConfig, p_active: float) -> f
         ) from None
 
 
+@in_float_range
 def interval_moments(ss: SteadyState, cfg: EnergyChainConfig) -> IntervalMoments:
     """Moments of the attempt interval T = accumulation time + access wait.
 
@@ -185,46 +186,19 @@ def interval_moments(ss: SteadyState, cfg: EnergyChainConfig) -> IntervalMoments
     acc1 = math.fsum((n - i - xi) * s_at(n + i) for i in range(n))
     acc2 = math.fsum((n - i) * (n - i + 1.0 - 3.0 * xi) * s_at(n + i) for i in range(n))
     accp = math.fsum(s_at(n + i) for i in range(n))
-    try:
-        mean = 1.0 / eta + acc1 / (xi * p_suf)
-        second = (
-            (2.0 - eta) / eta**2
-            + acc2 / (xi**2 * p_suf)
-            + 2.0 * acc1 / (xi * eta * p_suf)
-            + accp / p_suf
-        )
-    except (ZeroDivisionError, OverflowError):
-        mean = second = math.nan
+    mean = 1.0 / eta + acc1 / (xi * p_suf)
+    second = (
+        (2.0 - eta) / eta**2
+        + acc2 / (xi**2 * p_suf)
+        + 2.0 * acc1 / (xi * eta * p_suf)
+        + accp / p_suf
+    )
     if not (math.isfinite(mean) and math.isfinite(second)):
-        raise OutOfRegime(
-            f"interval_moments: the attempt interval at xi = {xi}, eta = {eta} overflows a float;"
-            " updates are too rare"
-        )
+        raise FloatingPointError(f"attempt interval moments {mean!r}, {second!r}: updates too rare")
     return IntervalMoments(mean=mean, second=second)
 
 
-def _finite_age(formula):
-    """``formula``, raising OutOfRegime where its age is not a finite float.
-
-    Every divisor inside an age formula is a positive rate or moment, so a
-    zero one is a product of rates that underflowed (xi or eta far below
-    1e-100); such updates are too rare for a float to hold their age.
-    """
-
-    @wraps(formula)
-    def checked(*args, **kwargs):
-        try:
-            age = formula(*args, **kwargs)
-        except (ZeroDivisionError, OverflowError):
-            age = math.nan
-        if not math.isfinite(age):
-            raise OutOfRegime(f"{formula.__name__}: the age overflows a float; updates are too rare")
-        return age
-
-    return checked
-
-
-@_finite_age
+@in_float_range
 def network_aoi_general(ss: SteadyState, net: NetworkConfig, phy: PhyConfig) -> float:
     """Network average AoI for an arbitrary buffer size [slots].
 
@@ -262,7 +236,7 @@ def small_buffer_split(net: NetworkConfig, phy: PhyConfig) -> tuple[float, float
     return sa, rectification
 
 
-@_finite_age
+@in_float_range
 def network_aoi_small_buffer(net: NetworkConfig, phy: PhyConfig) -> float:
     """Closed-form network average AoI for the single-transmission buffer B = N."""
     if net.B != net.N:
@@ -271,7 +245,7 @@ def network_aoi_small_buffer(net: NetworkConfig, phy: PhyConfig) -> float:
     return sa + rectification
 
 
-@_finite_age
+@in_float_range
 def network_aoi_greedy(net: NetworkConfig, phy: PhyConfig) -> float:
     """Closed-form network average AoI under greedy updating (eta = 1, any B >= N)."""
     if net.eta != 1.0:
@@ -296,7 +270,7 @@ def zeta_rectification(n: int, eta: float, xi: float, z: float) -> float:
     )
 
 
-@_finite_age
+@in_float_range
 def network_aoi_large_buffer(net: NetworkConfig, phy: PhyConfig) -> float:
     """Infinite-buffer network average AoI, both energy regimes.
 

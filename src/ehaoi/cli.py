@@ -7,6 +7,8 @@ CSVs; the sidecar records the fully resolved configuration, the library
 version, and the seed actually used.
 
 Exit codes: 0 ok, 2 bad-config, 3 out-of-regime, 4 non-convergence, 5 io.
+A spec value is refused as bad-config while the configs are built from
+the spec; any other ValueError is a fault, and ends in a traceback (1).
 
 The simulator, and with it numpy, is imported only for a spec with a
 ``sim`` section, so the analytic kinds start on the standard library.
@@ -41,6 +43,18 @@ def run(sim_cfg: SimConfig, phy: PhyConfig, net: NetworkConfig) -> SimReport:
     from .sim import run as simulate
 
     return simulate(sim_cfg, phy, net)
+
+
+def _config(make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``make(*args, **kwargs)``, a library object built from spec values.
+
+    A ValueError is the constructor's refusal of a value, so it is
+    reported as BadConfig.
+    """
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise BadConfig(str(exc)) from exc
 
 
 def _number(key: str, value: Any) -> float:
@@ -125,7 +139,7 @@ def _pattern(**classes: str) -> Callable[[str, Any], Any]:
                    for f in dataclasses.fields(cls)}
         fields = _read(key, doc, {"type": _text, **readers}, tuple(readers))
         del fields["type"]
-        return cls(**fields)
+        return _config(cls, **fields)
 
     return read
 
@@ -202,7 +216,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
 
 def _phy(doc: dict, n_units: int) -> PhyConfig:
     """The phy section as read; a missing theta is solved for ``n_units`` energy units."""
-    phy = PhyConfig(
+    phy = _config(
+        PhyConfig,
         alpha=doc["alpha"],
         r=doc["r"],
         tx_snr=db_to_linear(doc["snr_db"]),
@@ -211,7 +226,15 @@ def _phy(doc: dict, n_units: int) -> PhyConfig:
         target_rate=doc.get("target_rate"),
         bits_per_unit=doc.get("bits_per_unit"),
     )
-    return phy if "theta" in doc else dataclasses.replace(phy, theta=theta_for(phy, n_units))
+    return phy if "theta" in doc else _retuned(phy, n_units)
+
+
+def _retuned(phy: PhyConfig, n_units: int) -> PhyConfig:
+    """``phy`` with theta solved for ``n_units`` energy units per packet.
+
+    A phy without a code, or a blocklength below the floor, is BadConfig.
+    """
+    return dataclasses.replace(phy, theta=_config(theta_for, phy, n_units))
 
 
 def _sim_config(doc: dict | None, seed_override: int | None) -> SimConfig | None:
@@ -220,13 +243,20 @@ def _sim_config(doc: dict | None, seed_override: int | None) -> SimConfig | None
     from .sim import SimConfig
 
     seed = seed_override if seed_override is not None else doc.get("seed", 0)
-    return SimConfig(**{**doc, "seed": seed})
+    return _config(SimConfig, **{**doc, "seed": seed})
+
+
+def _check_torus(sim_cfg: SimConfig, phy: PhyConfig, net: NetworkConfig) -> None:
+    """Refuse, as BadConfig, a simulated point whose links the torus cannot hold."""
+    from .sim import require_torus
+
+    _config(require_torus, net.density, sim_cfg.side, phy.r)
 
 
 def _set_param(net: NetworkConfig, name: str, value: float) -> NetworkConfig:
     if name not in _NET:
         raise BadConfig(f"unknown sweep parameter {name!r}")
-    return dataclasses.replace(net, **{name: _NET[name](f"sweep value of {name}", value)})
+    return _config(dataclasses.replace, net, **{name: _NET[name](f"sweep value of {name}", value)})
 
 
 def _analytic_aoi(net: NetworkConfig, phy: PhyConfig, formula: str) -> float:
@@ -238,7 +268,7 @@ def _analytic_aoi(net: NetworkConfig, phy: PhyConfig, formula: str) -> float:
 
 
 def _run_steady_state(spec: ExperimentSpec, seed_override):
-    cfg = NetworkConfig(**spec.args["net"]).chain
+    cfg = _config(NetworkConfig, **spec.args["net"]).chain
     # the closed_form column is the exact cut recursion, numeric the Hessenberg oracle
     exact = steady_state(cfg)
     numeric = solve_steady_numeric(build_transition_matrix(cfg))
@@ -256,7 +286,7 @@ def _run_threshold(spec: ExperimentSpec, seed_override):
     rows = []
     for n in p.get("n_values", [1]):
         for eps in p.get("eps_values", [1e-6]):
-            coding = CodingConfig(k=p["bits_per_unit"], N=n, target_rate=p["target_rate"], eps=eps)
+            coding = _config(CodingConfig, k=p["bits_per_unit"], N=n, target_rate=p["target_rate"], eps=eps)
             exact = effective_threshold_exact(coding)
             approx = effective_threshold_approx(coding)
             rows.append([coding.blocklength, eps, exact, approx, approx - exact])
@@ -268,7 +298,7 @@ def _run_curve(spec: ExperimentSpec, seed_override):
         raise BadConfig(f"kind {spec.kind} requires a sweep section")
     params = spec.args
     name, values = spec.sweep
-    base_net = NetworkConfig(**params["net"])
+    base_net = _config(NetworkConfig, **params["net"])
     formula = params.get("formula", "general")
     sim_cfg = _sim_config(params.get("sim"), seed_override)
     header = [name, "analytic_aoi", "sim_aoi", "sim_ci"]
@@ -278,11 +308,12 @@ def _run_curve(spec: ExperimentSpec, seed_override):
         phy = _phy(params["phy"], net.N)
         if name == "N" and phy.target_rate is not None and phy.bits_per_unit is not None:
             # sweeping N moves the blocklength, so a given theta must follow it too
-            phy = dataclasses.replace(phy, theta=theta_for(phy, net.N))
+            phy = _retuned(phy, net.N)
         analytic = _analytic_aoi(net, phy, formula)
         if sim_cfg is None:
             rows.append([value, analytic, "", ""])
         else:
+            _check_torus(sim_cfg, phy, net)
             report = run(sim_cfg, phy, net)
             rows.append([value, analytic, report.network_aoi, report.ci_halfwidth])
     extra = {"formula": formula, "simulated": sim_cfg is not None}
@@ -291,9 +322,10 @@ def _run_curve(spec: ExperimentSpec, seed_override):
 
 def _run_optimize(spec: ExperimentSpec, seed_override):
     params = spec.args
-    base_net = NetworkConfig(**params["net"])
-    # theta_for refuses a phy without target_rate and bits_per_unit
+    base_net = _config(NetworkConfig, **params["net"])
     phy = _phy(params["phy"], base_net.N)
+    # the scan solves theta from N = 1 on, so the code must reach the blocklength floor there
+    _config(theta_for, phy, 1)
     name, values = spec.sweep or ("density", (base_net.density,))
     header = [name, "aoi_star", "eta_star", "n_star", "regime"]
     rows = []
@@ -305,9 +337,10 @@ def _run_optimize(spec: ExperimentSpec, seed_override):
 
 def _run_simulate(spec: ExperimentSpec, seed_override):
     params = spec.args
-    net = NetworkConfig(**params["net"])
+    net = _config(NetworkConfig, **params["net"])
     phy = _phy(params["phy"], net.N)
     sim_cfg = _sim_config(params["sim"], seed_override)
+    _check_torus(sim_cfg, phy, net)
     report = run(sim_cfg, phy, net)
     header = ["network_aoi", "ci_halfwidth", "empirical_mu", "empirical_inv_mu",
               "interval_mean", "interval_second", "slots_measured"]
@@ -384,15 +417,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         with open(args.spec, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = _config(json.load, fh)
         spec = ExperimentSpec.from_dict(doc, fallback_name=Path(args.spec).stem)
         run_experiment(spec, out_dir=args.out, seed=args.seed, quiet=args.quiet)
     except EhAoiError as exc:  # each type carries its exit code and label
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except ValueError as exc:  # the config constructors refuse values this way
-        print(f"bad-config: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"io: {exc}", file=sys.stderr)
         return 5

@@ -20,13 +20,12 @@ companion-matrix roots and its small complex solve.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import (
-    NonConvergence, NotRecurrent, OutOfRegime, bisect_increasing, require_integer,
+    NonConvergence, NotRecurrent, OutOfRegime, bisect_increasing, in_float_range, require_integer,
 )
 
 __all__ = [
@@ -265,6 +264,7 @@ def _deflated(z: float, n: int, xi: float, eta: float) -> float:
     return (1.0 - xi) * eta * z**n + eta * mid - xi * (1.0 - eta)
 
 
+@in_float_range
 def char_root(n: int, xi: float, eta: float) -> float:
     """Unique non-fixed positive root of the characteristic equation.
 
@@ -310,24 +310,6 @@ def char_root_approx(n: int, xi: float, eta: float) -> float:
 # Closed-form stationary distributions
 # ---------------------------------------------------------------------------
 
-def _in_float_range(law):
-    """``law``, raising OutOfRegime where its arithmetic leaves the float range.
-
-    ``cfg`` is valid, so an ArithmeticError or a ValueError (numpy's
-    LinAlgError among them) means xi, eta or 1 - xi is too close to 0.
-    """
-
-    @functools.wraps(law)
-    def checked(cfg: EnergyChainConfig) -> SteadyState:
-        try:
-            return law(cfg)
-        except (ArithmeticError, ValueError) as exc:
-            raise OutOfRegime(f"{law.__name__} leaves the float range at xi = {cfg.xi!r},"
-                              f" eta = {cfg.eta!r}: {exc}") from exc
-
-    return checked
-
-
 def _finalize(raw: list[float]) -> SteadyState:
     total = math.fsum(raw)
     if not math.isfinite(total):
@@ -339,7 +321,7 @@ def _finalize(raw: list[float]) -> SteadyState:
     return SteadyState(probs=[v / total for v in raw])
 
 
-@_in_float_range
+@in_float_range
 def steady_closed_n1(cfg: EnergyChainConfig) -> SteadyState:
     """Single-unit consumption, any finite buffer.
 
@@ -363,7 +345,7 @@ def steady_closed_n1(cfg: EnergyChainConfig) -> SteadyState:
     return _finalize(s)
 
 
-@_in_float_range
+@in_float_range
 def steady_closed_small_buffer(cfg: EnergyChainConfig) -> SteadyState:
     """Multi-unit consumption with a small buffer, N <= B <= 2N.
 
@@ -443,7 +425,7 @@ def _interior_roots(n: int, xi: float, eta: float):
     return roots
 
 
-@_in_float_range
+@in_float_range
 def steady_closed_large_buffer(cfg: EnergyChainConfig) -> SteadyState:
     """Multi-unit consumption with a large buffer, B >= 3N + 1.
 
@@ -476,9 +458,12 @@ def steady_closed_large_buffer(cfg: EnergyChainConfig) -> SteadyState:
     m = np.arange(b - n)
     top = m - (b - n - 1)
     # char_root returns exactly 1.0 on the balance line, a double root of char_poly
-    pair = m.astype(float) if z == 1.0 else z ** (m if z < 1.0 else top)
-    cols = [np.ones(b - n), pair]
-    cols += [r ** (m if abs(r) <= 1.0 else top) for r in _interior_roots(n, xi, eta)]
+    # a mode with |r| > 1 falls below the float range deep under level B - 1:
+    # its power underflows to the right 0 through an overflowing r^|top|
+    with np.errstate(over="ignore"):
+        pair = m.astype(float) if z == 1.0 else z ** (m if z < 1.0 else top)
+        cols = [np.ones(b - n), pair]
+        cols += [r ** (m if abs(r) <= 1.0 else top) for r in _interior_roots(n, xi, eta)]
     modes = np.column_stack(cols).astype(complex)
 
     # unknowns: N+1 mode coefficients, then s_0..s_{N-1}, then s_B
@@ -512,7 +497,10 @@ def steady_closed_large_buffer(cfg: EnergyChainConfig) -> SteadyState:
     A[-1, k:] = 1.0
     rhs = np.zeros(2 * n + 2)
     rhs[-1] = 1.0
-    x = np.linalg.solve(A, rhs)
+    try:
+        x = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:  # a rate so small that the rows coincide in floats
+        raise FloatingPointError(f"the mode system is singular: {exc}") from exc
     s = np.empty(b + 1)
     s[:n] = x[k:-1].real
     s[n:b] = (modes @ x[:k]).real

@@ -2,12 +2,15 @@
 
 Each type carries the CLI exit code and stderr label it maps to, so
 raising the most specific type matters there; library callers can catch
-``EhAoiError`` for everything.  The helpers refuse config fields that
-are not finite or not integers, and bisect the monotone root finds of the
-energy chain, the coding threshold and the optimizer's update rate.
+``EhAoiError`` for everything; a ValueError is a config field refused.
+The helpers refuse config fields that are not finite or not integers,
+bisect the monotone root finds of the energy chain, the coding threshold
+and the optimizer's update rate, and guard each model formula's float range.
 """
 
+import functools
 import math
+import reprlib
 from collections.abc import Callable
 from numbers import Integral
 
@@ -43,6 +46,34 @@ def bisect_increasing(f: Callable[[float], float], lo: float, hi: float) -> floa
         else:
             hi = mid
     return mid if hi < top else top
+
+
+_ARGUMENT = reprlib.Repr()
+_ARGUMENT.maxother = 160  # a config's fields fit; a stationary law is cut short
+
+
+def in_float_range(formula: Callable) -> Callable:
+    """``formula``, raising OutOfRegime where its arithmetic leaves the float range.
+
+    The arguments are valid, so an ArithmeticError or a float result that
+    is not finite means a rate too close to 0 or 1 for a float to hold the
+    result; the message names the formula and its arguments.  A
+    ValueError, the refusal of an argument, passes through.
+    """
+
+    @functools.wraps(formula)
+    def checked(*args, **kwargs):
+        try:
+            result = formula(*args, **kwargs)
+            if isinstance(result, float) and not math.isfinite(result):
+                raise FloatingPointError(f"the result is {result!r}")
+        except ArithmeticError as exc:
+            shown = ", ".join([*map(_ARGUMENT.repr, args),
+                               *(f"{k}={_ARGUMENT.repr(v)}" for k, v in kwargs.items())])
+            raise OutOfRegime(f"{formula.__name__}({shown}) leaves the float range: {exc}") from exc
+        return result
+
+    return checked
 
 
 class EhAoiError(Exception):

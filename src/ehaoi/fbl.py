@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 from .errors import (
-    NonConvergence, TargetRateTooLow, bisect_increasing, require_finite, require_integer,
+    NonConvergence, TargetRateTooLow, bisect_increasing, in_float_range, require_finite,
+    require_integer,
 )
 
 __all__ = [
@@ -112,6 +113,7 @@ def max_coding_rate(gamma: float, blocklength: int, eps: float) -> float:
     )
 
 
+@in_float_range
 def effective_threshold_approx(cfg: CodingConfig) -> float:
     """Dispersion-free threshold 2^(R_t + log2(e) Q^-1(eps)/sqrt(c) - log2(c)/2c) - 1.
 
@@ -127,6 +129,7 @@ def effective_threshold_approx(cfg: CodingConfig) -> float:
     return 2.0**exponent - 1.0
 
 
+@in_float_range
 def effective_threshold_exact(cfg: CodingConfig) -> float:
     """Unique SINR where max_coding_rate equals the target rate.
 
@@ -134,7 +137,8 @@ def effective_threshold_exact(cfg: CodingConfig) -> float:
     provably increasing, down to the two adjacent floats around the
     crossing.  Raises TargetRateTooLow when the target rate is already met
     at the bracket floor, which signals an operating point outside the
-    approximation's envelope.
+    approximation's envelope, and OutOfRegime when the rate at the
+    threshold overflows a float (a target rate above about 512 bit/use).
     """
     c, eps, rt = cfg.blocklength, cfg.eps, cfg.target_rate
     lo = GAMMA_FLOOR
@@ -142,7 +146,8 @@ def effective_threshold_exact(cfg: CodingConfig) -> float:
         raise TargetRateTooLow(
             f"target rate {rt} is reached below gamma = {lo}; threshold bracket invalid"
         )
-    hi = 2.0 * effective_threshold_approx(cfg)
+    # 2 x approx, and an OverflowError where that passes the float range
+    hi = math.ldexp(effective_threshold_approx(cfg), 1)
     while max_coding_rate(hi, c, eps) < rt:
         hi *= 2.0
     theta = bisect_increasing(lambda g: max_coding_rate(g, c, eps) - rt, lo, hi)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .aoi import NetworkConfig, PhyConfig, network_aoi_large_buffer, omega
-from .errors import SaturatedAccess, bisect_increasing
+from .errors import OutOfRegime, SaturatedAccess, bisect_increasing
 # effective_threshold_approx is unused here; bench/spans.py traces it under this module
 from .fbl import CodingConfig, effective_threshold_approx, effective_threshold_exact  # noqa: F401
 
@@ -129,6 +129,8 @@ def optimize(phy_base: PhyConfig, net_base: NetworkConfig) -> OptimumResult:
         phy_n = replace(phy_base, theta=theta_for(phy_base, n))
         eta_hat = optimal_eta_esr(density, omega(phy_n.theta, phy_n.alpha), phy_n.r, phy_n.alpha)
         eta_esr = min(eta_hat, xi / n)
+        if eta_esr == 0.0:
+            raise OutOfRegime(f"the update rate xi / N = {xi!r} / {n} underflows a float")
         aoi_esr = _aoi_at(phy_n, net_base, n, eta_esr)
         aoi_ecr = _aoi_at(phy_n, net_base, n, 1.0)
         trace.append((n, eta_esr, aoi_esr, aoi_ecr))

@@ -50,6 +50,7 @@ __all__ = [
     "SimConfig",
     "Topology",
     "SimReport",
+    "require_torus",
     "sample_topology",
     "run",
 ]
@@ -242,6 +243,19 @@ class SimReport:
     activity: float
 
 
+def require_torus(density: float, side: float, r: float) -> None:
+    """Refuse, with a ValueError, a torus that cannot hold links of this density and length.
+
+    The expected link count density side^2 must be at least one, and r
+    must stay below side / 2: a longer link wraps onto a shorter one.
+    """
+    if density * side**2 < 1.0:
+        raise ValueError("expected node count below one; enlarge side or density")
+    if not r < side / 2.0:
+        raise ValueError(f"link length r = {r} must be below half the torus side {side}:"
+                         " a longer link wraps onto a shorter one; enlarge side")
+
+
 def sample_topology(
     density: float,
     side: float,
@@ -250,15 +264,11 @@ def sample_topology(
 ) -> Topology:
     """Poisson(density side^2) sources, each receiver at distance r, wrapped.
 
-    A draw of zero links is redrawn.  The expected count is at least one,
-    so a draw comes up empty with probability at most 1/e.  r must stay
-    below side / 2: a longer link wraps onto a shorter one.
+    The torus must pass :func:`require_torus`.  A draw of zero links is
+    redrawn; the expected count is at least one, so a draw comes up empty
+    with probability at most 1/e.
     """
-    if density * side**2 < 1.0:
-        raise ValueError("expected node count below one; enlarge side or density")
-    if not r < side / 2.0:
-        raise ValueError(f"link length r = {r} must be below half the torus side {side}:"
-                         " a longer link wraps onto a shorter one; enlarge side")
+    require_torus(density, side, r)
     n = 0
     while n == 0:
         n = int(rng.poisson(density * side**2))
@@ -269,18 +279,38 @@ def sample_topology(
     return Topology(sources=sources, receivers=receivers, side=side)
 
 
-def _markov_step(pattern: TwoStateMarkovArrivals, good: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """One slot of Markov arrivals from the uniforms u[0], u[1]; advances ``good`` in place."""
-    arr = u[0] < np.where(good, pattern.xi_good, pattern.xi_bad)
-    good ^= u[1] < np.where(good, pattern.p_good_to_bad, pattern.p_bad_to_good)
-    return arr
+def _markov_arrivals(pattern: TwoStateMarkovArrivals, good: np.ndarray,
+                     u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A chunk of Markov arrivals: (arrivals, the states after the chunk).
+
+    ``good`` holds each link's state before the chunk and ``u`` the
+    (slots, 2, links) uniforms.  In each slot a link arrives when
+    u[0] < its state's rate, then leaves its state when u[1] < that
+    state's switch probability.  The two switch tests leave the state as
+    it is (neither passes), swap it (both pass) or set it (one passes: to
+    good when only the bad state's test passes).  So the state before a
+    slot is the value set by the last setting slot, or the carried state,
+    XOR the parity of the swaps since.
+    """
+    to_bad = u[:, 1] < pattern.p_good_to_bad
+    to_good = u[:, 1] < pattern.p_bad_to_good
+    # row 0 sets the carried state; row t + 1 is slot t's move
+    sets = np.concatenate((np.ones_like(good)[None], to_bad ^ to_good))
+    value = np.concatenate((good[None], to_good))
+    parity = np.logical_xor.accumulate(np.concatenate((np.zeros_like(good)[None], to_bad & to_good)))
+    last = np.maximum.accumulate(np.where(sets, np.arange(len(sets))[:, None], 0))
+    state = (np.take_along_axis(value, last, axis=0)
+             ^ np.take_along_axis(parity, last, axis=0) ^ parity)
+    arr = u[:, 0] < np.where(state[:-1], pattern.xi_good, pattern.xi_bad)
+    return arr, state[-1]
 
 
 def _default_warmup(n_units: int, arrivals: ArrivalPattern, updates: UpdatePattern, slots: int) -> int:
     """10 max(N / mean arrival rate, 1 / eta) slots, at most half the horizon."""
     eta_eff = updates.eta if isinstance(updates, BernoulliUpdates) else 1.0 / updates.period
     rate = arrivals.mean_rate
-    settle = 10.0 * max(n_units / rate if rate > 0.0 else math.inf, 1.0 / eta_eff)
+    # with no arrivals or no updates the chain never settles: half the horizon
+    settle = 10.0 * max(n_units / rate, 1.0 / eta_eff) if rate > 0.0 and eta_eff > 0.0 else math.inf
     return math.ceil(min(settle, slots // 2))
 
 
@@ -463,9 +493,7 @@ def _buffer_scan(reals: list[_Realization], slots: int, chain: EnergyChainConfig
             arr = flat(lambda r: r.arr_rng.binomial(arrivals.e_max, arrivals.p, size=(rows, r.n)))
         else:
             u = flat(lambda r: r.arr_rng.random((rows, 2, r.n)), axis=2)
-            arr = np.empty((rows, width), dtype=bool)
-            for t in range(rows):
-                arr[t] = _markov_step(arrivals, good, u[t])
+            arr, good = _markov_arrivals(arrivals, good, u)
         if phase is not None:
             gate = (t0 + np.arange(rows)[:, None] + phase) % updates.period == 0
         else:

@@ -10,8 +10,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ehaoi.energy_chain import SteadyState
+
+# Hypothesis profiles.  "replay" draws the same examples on every run, so
+# the suite is deterministic; "fresh" draws new ones with ten times the
+# budget, for a scheduled run: pytest --hypothesis-profile=fresh
+settings.register_profile("replay", derandomize=True, deadline=None)
+settings.register_profile("fresh", max_examples=10 * settings.default.max_examples, deadline=None)
+settings.load_profile("replay")
 
 
 def straddles_sign_change(g, z: float) -> bool:

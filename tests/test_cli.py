@@ -187,6 +187,25 @@ def test_main_exit_codes(tmp_path, capsys):
     assert err.startswith("out-of-regime: ")
 
 
+def test_undecodable_spec_is_bad_config(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"name": "caf\xe9"}')
+    assert main(["--spec", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("bad-config: ")
+
+
+def test_value_error_of_a_model_layer_is_not_bad_config(tmp_path, monkeypatch):
+    # a ValueError after the configs are built is a fault, not a bad spec
+    def faulty(cfg):
+        raise ValueError("stationary mass is 0.5, expected 1")
+
+    monkeypatch.setattr("ehaoi.cli.steady_state", faulty)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="stationary mass"):
+        main(["--spec", str(write_spec(tmp_path, STEADY_DOC)), "--out", str(out), "--quiet"])
+    assert not list(out.glob("*.csv"))
+
+
 def test_steady_state_without_mixing_is_non_convergence(tmp_path, capsys):
     # N = 1 with xi = eta = 1: each slot spends one unit and harvests one, so
     # every level from 1 up is absorbing and the balance system is singular
@@ -570,6 +589,40 @@ def test_link_longer_than_half_the_torus_is_bad_config(tmp_path, capsys):
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("doc, named", [
+    (_with(OPTIMIZE_DOC, lambda d: d["params"]["phy"].update(bits_per_unit=50)),
+     "blocklength 50 below validity floor 100"),
+    (_with(OPTIMIZE_DOC, lambda d: d["params"].update(phy=SIM_SPEC["params"]["phy"])),
+     "phy.target_rate and phy.bits_per_unit are required"),
+    (_with(SIM_SPEC, lambda d: d.update(sweep={"name": "density", "values": [0.01, 0.0001]})),
+     "expected node count below one"),
+    (_with(SIMULATE_DOC, lambda d: d["params"]["net"].update(density=0.0001)),
+     "expected node count below one"),
+], ids=["optimize-blocklength-floor", "optimize-without-code", "curve-sparse-density",
+        "simulate-sparse-density"])
+def test_spec_value_refused_by_the_library_is_bad_config(tmp_path, capsys, doc, named):
+    # the optimizer's scan starts at N = 1, and the torus must hold a link on average
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad-config: ") and named in err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("doc", [
+    _with(THRESHOLD_DOC, lambda d: d["params"].update(target_rate=520)),
+    _with(OPTIMIZE_DOC, lambda d: d["params"]["phy"].update(target_rate=600)),
+], ids=["threshold", "optimize"])
+def test_target_rate_past_the_float_range_is_out_of_regime(tmp_path, capsys, doc):
+    # the rate at the threshold squares 1 + gamma ~ 2^520, past any float
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("out-of-regime: effective_threshold_exact(CodingConfig(k=100, N=1, ")
+    assert "leaves the float range" in err
+    assert not list(out.glob("*.csv"))
+
+
 def test_overflowing_success_moment_is_out_of_regime(tmp_path, capsys):
     doc = {
         "name": "dense",
@@ -617,7 +670,8 @@ def _label(path):
     return ".".join(path[1:] if path[0] == "params" and len(path) > 1 else path)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+# the profile sets the budget (tests/conftest.py): 200 examples under "replay"
+@settings(max_examples=2 * settings.default.max_examples)
 @given(data=st.data())
 def test_mutated_spec_is_bad_config(data):
     doc = json.loads(json.dumps(data.draw(st.sampled_from(ANALYTIC_DOCS), label="doc")))
@@ -658,15 +712,41 @@ def _net(draw):
             "xi": draw(_UNIT), "eta": draw(_UNIT)}
 
 
+# the exact threshold leaves the float range from about 512 bit/use on
+_RATE = st.one_of(st.floats(0.01, 4.0), st.floats(4.0, 2000.0))
+_CHANCE = st.floats(-0.25, 1.25)  # a pattern's probability, in range or not
+_ARRIVALS = {"bernoulli": {"xi": _CHANCE}, "binomial": {"e_max": st.integers(0, 4), "p": _CHANCE},
+             "markov": {key: _CHANCE for key in ("xi_good", "xi_bad", "p_good_to_bad", "p_bad_to_good")}}
+_UPDATES = {"bernoulli": {"eta": _CHANCE}, "periodic": {"period": st.integers(0, 5)}}
+
+
 @st.composite
 def _phy_doc(draw, coded):
     phy = {"alpha": draw(st.floats(2.05, 5.0)), "r": draw(st.floats(0.5, 10.0)),
            "snr_db": draw(st.floats(-10.0, 40.0)), "eps": draw(st.floats(1e-7, 0.5))}
     if coded:
-        phy.update(target_rate=draw(st.floats(0.05, 3.0)), bits_per_unit=draw(st.integers(50, 400)))
+        phy.update(target_rate=draw(_RATE), bits_per_unit=draw(st.integers(50, 400)))
     else:
         phy["theta"] = draw(st.floats(0.05, 20.0))
     return phy
+
+
+@st.composite
+def _pattern_doc(draw, patterns):
+    name = draw(st.sampled_from(sorted(patterns)))
+    return {"type": name, **{key: draw(field) for key, field in patterns[name].items()}}
+
+
+@st.composite
+def _sim_doc(draw):
+    """A small sim section: density 0.5 on a 25 m side holds about 300 links."""
+    sim = {"slots": draw(st.integers(1, 200)), "realizations": draw(st.integers(1, 3)),
+           "side": draw(st.floats(1.0, 25.0)), "seed": draw(st.integers(0, 1000))}
+    for key, field in (("warmup", st.integers(0, 200)), ("arrivals", _pattern_doc(_ARRIVALS)),
+                       ("updates", _pattern_doc(_UPDATES))):
+        if draw(st.booleans()):
+            sim[key] = draw(field)
+    return sim
 
 
 @st.composite
@@ -676,14 +756,14 @@ def _sweep(draw):
 
 
 @st.composite
-def _analytic_spec(draw):
-    """A well-typed analytic spec, its values in range or not; sizes stay small."""
-    kind = draw(st.sampled_from(["steady_state", "threshold", "aoi_curve", "optimize"]))
+def _drawn_spec(draw):
+    """A well-typed spec of any kind, its values in range or not; sizes stay small."""
+    kind = draw(st.sampled_from(["steady_state", "threshold", "aoi_curve", "optimize", "simulate"]))
     if kind == "steady_state":
         params = {"net": draw(_net())}
     elif kind == "threshold":
         params = {"bits_per_unit": draw(st.integers(50, 400)),
-                  "target_rate": draw(st.floats(0.01, 4.0)),
+                  "target_rate": draw(_RATE),
                   "n_values": draw(st.lists(st.integers(1, 20), min_size=1, max_size=5)),
                   "eps_values": draw(st.lists(st.floats(1e-7, 0.5), min_size=1, max_size=5))}
     else:
@@ -691,25 +771,33 @@ def _analytic_spec(draw):
         params = {"phy": draw(_phy_doc(coded)), "net": draw(_net())}
         if kind == "aoi_curve":
             params["formula"] = draw(st.sampled_from(["general", "large_buffer"]))
+        if kind == "simulate" or (kind == "aoi_curve" and draw(st.booleans())):
+            params["sim"] = draw(_sim_doc())
     doc = {"name": "drawn", "kind": kind, "params": params}
     if kind == "aoi_curve" or (kind == "optimize" and draw(st.booleans())):
         doc["sweep"] = draw(_sweep())
     return doc
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(doc=_analytic_spec())
+LABELS = {2: "bad-config: ", 3: "out-of-regime: ", 4: "non-convergence: "}
+
+
+@settings(max_examples=3 * settings.default.max_examples // 2)  # 150 under "replay"
+@given(doc=_drawn_spec())
 def test_drawn_spec_exits_cleanly_with_finite_cells(doc):
+    err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         spec = write_spec(Path(tmp), doc)
-        with contextlib.redirect_stderr(io.StringIO()):  # an exception escaping main fails the test
+        with contextlib.redirect_stderr(err):  # an exception escaping main fails the test
             status = main(["--spec", str(spec), "--out", str(Path(tmp) / "out"), "--quiet"])
-        assert status in (0, 2, 3, 4)
         if status == 0:
             _, rows = read_csv(Path(tmp) / "out" / "drawn.csv")
             for cell in (cell for row in rows for cell in row):
                 with contextlib.suppress(ValueError):  # an empty sim cell or a regime name
                     assert math.isfinite(float(cell)), (cell, doc)
+        else:
+            assert status in LABELS and err.getvalue().startswith(LABELS[status]), err.getvalue()
+            assert not list(Path(tmp).glob("out/*.csv"))
 
 
 def test_main_happy_path(tmp_path, capsys):

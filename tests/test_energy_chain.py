@@ -548,6 +548,23 @@ def test_closed_form_out_of_float_range_is_out_of_regime(law, n, b, xi, eta):
         law(EnergyChainConfig(N=n, B=b, xi=xi, eta=eta))
 
 
+@pytest.mark.parametrize("n, xi", [(2, 0.5), (2, 0.99999999), (1, 0.99999999)],
+                         ids=["bracket-power-overflows", "bracket-starts-at-inf", "one-unit-bracket-at-inf"])
+def test_char_root_out_of_float_range_is_out_of_regime(n, xi):
+    # the bracket search doubles hi until hi ** n overflows, or its first hi,
+    # 2 xi (1 - eta) / (eta (1 - xi)), is already inf and so is the root
+    with pytest.raises(OutOfRegime, match=rf"^char_root\({n}, {xi!r}, 1e-300\) leaves the float range: "):
+        char_root(n, xi, 1e-300)
+
+
+def test_large_buffer_law_with_an_outer_mode_warns_nothing():
+    # the interior root r ~ -10001 raised to -(B - 1 - i) overflows on its way
+    # to the right 0; the suite turns a RuntimeWarning into an error
+    cfg = EnergyChainConfig(N=2, B=2000, xi=0.5, eta=1e-8)
+    dev = np.max(np.abs(np.subtract(steady_closed_large_buffer(cfg).probs, steady_state(cfg).probs)))
+    assert dev <= 1e-10
+
+
 def test_steady_state_non_unique_point():
     # N = 1, xi = eta = 1: every level >= 1 is absorbing
     cfg = EnergyChainConfig(N=1, B=5, xi=1.0, eta=1.0)

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from ehaoi import fbl
-from ehaoi.errors import TargetRateTooLow
+from ehaoi.errors import OutOfRegime, TargetRateTooLow
 from ehaoi.fbl import (
     CodingConfig,
     effective_threshold_approx,
@@ -119,6 +119,22 @@ def test_threshold_shannon_limit():
 def test_target_rate_too_low():
     with pytest.raises(TargetRateTooLow):
         effective_threshold_exact(_cfg(rt=0.1, eps=0.5))
+
+
+@pytest.mark.parametrize("threshold, rate", [(effective_threshold_exact, 520.0),
+                                             (effective_threshold_approx, 1100.0)])
+def test_threshold_out_of_float_range_is_out_of_regime(threshold, rate):
+    # the rate at the exact threshold squares 1 + gamma ~ 2^520, past any
+    # float; the approximation's 2^(R_t + ...) overflows from about 1024 on
+    cfg = CodingConfig(k=100, N=1, target_rate=rate, eps=1e-6)
+    with pytest.raises(OutOfRegime, match=rf"^{threshold.__name__}\(CodingConfig\(k=100, N=1, "
+                                          rf"target_rate={rate!r}, eps=1e-06\)\) leaves the float range"):
+        threshold(cfg)
+
+
+def test_threshold_just_inside_the_float_range_is_finite():
+    cfg = CodingConfig(k=100, N=1, target_rate=500.0, eps=1e-6)
+    assert math.isfinite(effective_threshold_exact(cfg)) and effective_threshold_approx(cfg) < 1e308
 
 
 def test_config_validation():

@@ -441,6 +441,40 @@ def test_realization_draws_phases_then_markov_starts_from_the_arrivals_substream
     assert np.array_equal(real.markov_good, good)
 
 
+def markov_per_slot(pattern, good, u):
+    """Markov arrivals over a chunk, one slot at a time: (arrivals, states after the chunk)."""
+    good = good.copy()
+    arr = np.empty((len(u), good.size), dtype=bool)
+    for t in range(len(u)):
+        arr[t] = u[t, 0] < np.where(good, pattern.xi_good, pattern.xi_bad)
+        good ^= u[t, 1] < np.where(good, pattern.p_good_to_bad, pattern.p_bad_to_good)
+    return arr, good
+
+
+@pytest.mark.parametrize("pattern", [
+    TwoStateMarkovArrivals(xi_good=0.8, xi_bad=0.2, p_good_to_bad=0.1, p_bad_to_good=0.3),
+    TwoStateMarkovArrivals(xi_good=0.1, xi_bad=0.9, p_good_to_bad=0.4, p_bad_to_good=0.05),
+    TwoStateMarkovArrivals(xi_good=0.8, xi_bad=0.2, p_good_to_bad=0.0, p_bad_to_good=0.5),
+    TwoStateMarkovArrivals(xi_good=0.8, xi_bad=0.2, p_good_to_bad=1.0, p_bad_to_good=0.0),
+    TwoStateMarkovArrivals(xi_good=0.8, xi_bad=0.2, p_good_to_bad=1.0, p_bad_to_good=1.0),
+    TwoStateMarkovArrivals(xi_good=0.7, xi_bad=0.3, p_good_to_bad=0.0, p_bad_to_good=1.0),
+], ids=["mixing", "good-below-bad", "never-leaves-good", "always-leaves-good", "always-swaps",
+        "always-leaves-bad"])
+def test_markov_scan_equals_the_per_slot_chain(pattern):
+    rng = np.random.default_rng(23)
+    u = rng.random((301, 2, 9))
+    start = rng.random(9) < 0.5
+    expected, end = markov_per_slot(pattern, start, u)
+    # uneven chunks, one of a single slot, with the states carried across each boundary
+    good, parts = start.copy(), []
+    for lo, hi in [(0, 1), (1, 97), (97, 98), (98, 301)]:
+        arr, good = sim_module._markov_arrivals(pattern, good, u[lo:hi])
+        parts.append(arr)
+    assert np.array_equal(np.concatenate(parts), expected)
+    assert np.array_equal(good, end)
+    assert 0 < expected.sum() < expected.size
+
+
 # four links on a 50 m torus, each with its own length, and interference that
 # is far from symmetric: source 1 sits 3.2 m from receiver 0, while source 0
 # is 8.1 m from receiver 1
