@@ -23,7 +23,7 @@ from .energy_chain import (
     char_root,
     prob_energy_sufficient,
 )
-from .errors import NeverSufficient, SaturatedAccess, in_float_range, require_finite
+from .errors import OutOfRegime, SaturatedAccess, in_float_range, require_finite
 
 __all__ = [
     "PhyConfig",
@@ -46,7 +46,11 @@ __all__ = [
 
 
 def db_to_linear(value_db: float) -> float:
-    return 10.0 ** (value_db / 10.0)
+    """10^(value_db / 10); inf, the noise-free limit, where that passes the float range."""
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -178,7 +182,7 @@ def interval_moments(ss: SteadyState, cfg: EnergyChainConfig) -> IntervalMoments
     n, xi, eta = cfg.N, cfg.xi, cfg.eta
     p_suf = prob_energy_sufficient(ss, n)
     if p_suf <= 0.0:
-        raise NeverSufficient("steady state has no mass at or above level N")
+        raise OutOfRegime("steady state has no mass at or above level N")
 
     def s_at(level: int) -> float:
         return ss.probs[level] if level <= ss.levels else 0.0

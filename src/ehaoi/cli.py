@@ -6,6 +6,11 @@ Carlo simulation).  Reruns of an identical spec produce byte-identical
 CSVs; the sidecar records the fully resolved configuration, the library
 version, and the seed actually used.
 
+The phy/net kinds (aoi_curve, optimize, simulate) build every point
+alike: its net; its phy, where a code sets theta at the point's N and a
+theta beside a code is refused; the analytic value; the simulated point,
+refused if its horizon measured nothing.  The seed is null if nothing ran.
+
 Exit codes: 0 ok, 2 bad-config, 3 out-of-regime, 4 non-convergence, 5 io.
 A spec value is refused as bad-config while the configs are built from
 the spec; any other ValueError is a fault, and ends in a traceback (1).
@@ -33,7 +38,7 @@ from .fbl import CodingConfig, effective_threshold_approx, effective_threshold_e
 from .optimizer import optimize, theta_for
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
+    from collections.abc import Callable, Iterator
 
     from .sim import SimConfig, SimReport
 
@@ -215,7 +220,14 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
 
 
 def _phy(doc: dict, n_units: int) -> PhyConfig:
-    """The phy section as read; a missing theta is solved for ``n_units`` energy units."""
+    """The phy section at a point of ``n_units`` energy units per packet.
+
+    A code (``target_rate``, ``bits_per_unit``) sets theta at ``n_units``;
+    without one, ``theta`` is given.  Both, or neither, is BadConfig.
+    """
+    if "theta" in doc and ("target_rate" in doc or "bits_per_unit" in doc):
+        raise BadConfig("phy.theta is solved from the code at each point's N;"
+                        " give theta or target_rate and bits_per_unit, not both")
     phy = _config(
         PhyConfig,
         alpha=doc["alpha"],
@@ -226,15 +238,7 @@ def _phy(doc: dict, n_units: int) -> PhyConfig:
         target_rate=doc.get("target_rate"),
         bits_per_unit=doc.get("bits_per_unit"),
     )
-    return phy if "theta" in doc else _retuned(phy, n_units)
-
-
-def _retuned(phy: PhyConfig, n_units: int) -> PhyConfig:
-    """``phy`` with theta solved for ``n_units`` energy units per packet.
-
-    A phy without a code, or a blocklength below the floor, is BadConfig.
-    """
-    return dataclasses.replace(phy, theta=_config(theta_for, phy, n_units))
+    return phy if "theta" in doc else dataclasses.replace(phy, theta=_config(theta_for, phy, n_units))
 
 
 def _sim_config(doc: dict | None, seed_override: int | None) -> SimConfig | None:
@@ -246,17 +250,40 @@ def _sim_config(doc: dict | None, seed_override: int | None) -> SimConfig | None
     return _config(SimConfig, **{**doc, "seed": seed})
 
 
-def _check_torus(sim_cfg: SimConfig, phy: PhyConfig, net: NetworkConfig) -> None:
-    """Refuse, as BadConfig, a simulated point whose links the torus cannot hold."""
-    from .sim import require_torus
-
-    _config(require_torus, net.density, sim_cfg.side, phy.r)
-
-
 def _set_param(net: NetworkConfig, name: str, value: float) -> NetworkConfig:
     if name not in _NET:
         raise BadConfig(f"unknown sweep parameter {name!r}")
     return _config(dataclasses.replace, net, **{name: _NET[name](f"sweep value of {name}", value)})
+
+
+def _points(args: dict, sweep: tuple[str, tuple[float, ...]] | None) -> Iterator[tuple]:
+    """``(value, net, phy)`` of each point: one per sweep value, or the spec's own net (value None)."""
+    base = _config(NetworkConfig, **args["net"])
+    name, values = sweep or (None, (None,))
+    for value in values:
+        net = base if name is None else _set_param(base, name, value)
+        yield value, net, _phy(args["phy"], net.N)
+
+
+# the SimReport fields a simulated point reads, in the simulate kind's column order
+_MEASURED = ("network_aoi", "ci_halfwidth", "empirical_mu", "empirical_inv_mu",
+             "empirical_interval_mean", "empirical_interval_second", "slots_measured")
+
+
+def _simulate(sim_cfg: SimConfig, phy: PhyConfig, net: NetworkConfig) -> SimReport:
+    """One simulated point; BadConfig for links the torus cannot hold, or a field left unmeasured."""
+    from .sim import require_torus
+
+    _config(require_torus, net.density, sim_cfg.side, phy.r)
+    report = run(sim_cfg, phy, net)
+    # SimReport marks an unmeasured quantity with nan or inf; a CSV must not
+    bad = [field for field in _MEASURED if not math.isfinite(getattr(report, field))]
+    if bad:
+        raise BadConfig(
+            f"the simulation measured {', '.join(bad)} as non-finite: the measured horizon saw no "
+            "attempt or no delivery; lengthen sim.slots or raise the update rate"
+        )
+    return report
 
 
 def _analytic_aoi(net: NetworkConfig, phy: PhyConfig, formula: str) -> float:
@@ -296,67 +323,38 @@ def _run_threshold(spec: ExperimentSpec, seed_override):
 def _run_curve(spec: ExperimentSpec, seed_override):
     if spec.sweep is None:
         raise BadConfig(f"kind {spec.kind} requires a sweep section")
-    params = spec.args
-    name, values = spec.sweep
-    base_net = _config(NetworkConfig, **params["net"])
-    formula = params.get("formula", "general")
-    sim_cfg = _sim_config(params.get("sim"), seed_override)
-    header = [name, "analytic_aoi", "sim_aoi", "sim_ci"]
+    formula = spec.args.get("formula", "general")
+    sim_cfg = _sim_config(spec.args.get("sim"), seed_override)
     rows = []
-    for value in values:
-        net = _set_param(base_net, name, value)
-        phy = _phy(params["phy"], net.N)
-        if name == "N" and phy.target_rate is not None and phy.bits_per_unit is not None:
-            # sweeping N moves the blocklength, so a given theta must follow it too
-            phy = _retuned(phy, net.N)
-        analytic = _analytic_aoi(net, phy, formula)
-        if sim_cfg is None:
-            rows.append([value, analytic, "", ""])
-        else:
-            _check_torus(sim_cfg, phy, net)
-            report = run(sim_cfg, phy, net)
-            rows.append([value, analytic, report.network_aoi, report.ci_halfwidth])
-    extra = {"formula": formula, "simulated": sim_cfg is not None}
-    return header, rows, extra if sim_cfg is None else {**extra, "seed": sim_cfg.seed}
+    for value, net, phy in _points(spec.args, spec.sweep):
+        row = [value, _analytic_aoi(net, phy, formula), "", ""]
+        if sim_cfg is not None:
+            report = _simulate(sim_cfg, phy, net)
+            row[2:] = [report.network_aoi, report.ci_halfwidth]
+        rows.append(row)
+    return [spec.sweep[0], "analytic_aoi", "sim_aoi", "sim_ci"], rows, {
+        "formula": formula, "simulated": sim_cfg is not None,
+        "seed": None if sim_cfg is None else sim_cfg.seed}
 
 
 def _run_optimize(spec: ExperimentSpec, seed_override):
-    params = spec.args
-    base_net = _config(NetworkConfig, **params["net"])
-    phy = _phy(params["phy"], base_net.N)
-    # the scan solves theta from N = 1 on, so the code must reach the blocklength floor there
-    _config(theta_for, phy, 1)
-    name, values = spec.sweep or ("density", (base_net.density,))
-    header = [name, "aoi_star", "eta_star", "n_star", "regime"]
+    name, values = spec.sweep or ("density", (spec.args["net"]["density"],))
     rows = []
-    for value in values:
-        best = optimize(phy, _set_param(base_net, name, value))
+    for value, net, phy in _points(spec.args, (name, values)):
+        # the scan solves theta from N = 1 on, so the code must reach the blocklength floor there
+        _config(theta_for, phy, 1)
+        best = optimize(phy, net)
         rows.append([value, best.aoi_star, best.eta_star, best.n_star, best.regime])
-    return header, rows, {}
+    return [name, "aoi_star", "eta_star", "n_star", "regime"], rows, {}
 
 
 def _run_simulate(spec: ExperimentSpec, seed_override):
-    params = spec.args
-    net = _config(NetworkConfig, **params["net"])
-    phy = _phy(params["phy"], net.N)
-    sim_cfg = _sim_config(params["sim"], seed_override)
-    _check_torus(sim_cfg, phy, net)
-    report = run(sim_cfg, phy, net)
+    [(_, net, phy)] = _points(spec.args, None)
+    sim_cfg = _sim_config(spec.args["sim"], seed_override)
+    report = _simulate(sim_cfg, phy, net)
     header = ["network_aoi", "ci_halfwidth", "empirical_mu", "empirical_inv_mu",
               "interval_mean", "interval_second", "slots_measured"]
-    row = [
-        report.network_aoi, report.ci_halfwidth, report.empirical_mu,
-        report.empirical_inv_mu, report.empirical_interval_mean,
-        report.empirical_interval_second, report.slots_measured,
-    ]
-    # SimReport marks an unmeasured quantity with nan or inf; a CSV must not
-    bad = [field for field, value in zip(header, row) if not math.isfinite(value)]
-    if bad:
-        raise BadConfig(
-            f"simulate measured {', '.join(bad)} as non-finite: the measured horizon saw no "
-            "attempt or no delivery; lengthen sim.slots or raise the update rate"
-        )
-    return header, [row], {"seed": sim_cfg.seed}
+    return header, [[getattr(report, field) for field in _MEASURED]], {"seed": sim_cfg.seed}
 
 
 _PHY_NET = {"phy": _PHY_SECTION, "net": _NET_SECTION}
@@ -388,7 +386,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path = ".", seed: int | 
         "name": spec.name,
         "kind": spec.kind,
         "library_version": __version__,
-        "seed": seed if seed is not None else spec.params.get("sim", {}).get("seed"),
+        "seed": None,  # a runner that simulated records the seed it used
         "params": spec.params,
         "sweep": None if spec.sweep is None else {"name": spec.sweep[0], "values": list(spec.sweep[1])},
         "outputs": [csv_path.name],

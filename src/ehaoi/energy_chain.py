@@ -25,7 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import (
-    NonConvergence, NotRecurrent, OutOfRegime, bisect_increasing, in_float_range, require_integer,
+    NonConvergence, OutOfRegime, bisect_increasing, in_float_range, require_integer,
 )
 
 __all__ = [
@@ -520,7 +520,7 @@ def steady_infinite_buffer(cfg: EnergyChainConfig) -> SteadyState:
     """
     n, xi, eta = cfg.N, cfg.xi, cfg.eta
     if n * eta <= xi:
-        raise NotRecurrent(
+        raise OutOfRegime(
             f"N*eta = {n * eta} <= xi = {xi}: energy never runs scarce, no steady"
             " scarcity distribution exists"
         )

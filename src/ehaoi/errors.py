@@ -1,7 +1,8 @@
 """Exception types, and the helpers that every layer shares.
 
-Each type carries the CLI exit code and stderr label it maps to, so
-raising the most specific type matters there; library callers can catch
+Each type carries the CLI exit code and stderr label it maps to:
+OutOfRegime (3), SaturatedAccess (3, which the optimizer catches),
+NonConvergence (4) and BadConfig (2).  Library callers can catch
 ``EhAoiError`` for everything; a ValueError is a config field refused.
 The helpers refuse config fields that are not finite or not integers,
 bisect the monotone root finds of the energy chain, the coding threshold
@@ -91,23 +92,16 @@ class NonConvergence(EhAoiError):
 
 
 class OutOfRegime(EhAoiError):
-    """A closed form was requested outside its validity region, or a result overflows a float."""
+    """A model was asked for outside its validity region, or a result overflows a float.
 
-
-class NotRecurrent(EhAoiError):
-    """Infinite-buffer chain with N*eta <= xi has no scarcity steady state."""
-
-
-class NeverSufficient(EhAoiError):
-    """Steady state puts zero mass on buffer levels that allow a transmission."""
+    For example: an infinite buffer that never runs scarce (N eta <= xi), a
+    law with no mass where a packet can be sent, a target rate met below the
+    threshold bracket.
+    """
 
 
 class SaturatedAccess(EhAoiError):
     """Per-slot activity reached 1 or the success moment overflows a float."""
-
-
-class TargetRateTooLow(EhAoiError):
-    """Target coding rate is below the rate floor of the monotone bracket."""
 
 
 class BadConfig(EhAoiError):

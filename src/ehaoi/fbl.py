@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 from .errors import (
-    NonConvergence, TargetRateTooLow, bisect_increasing, in_float_range, require_finite,
+    NonConvergence, OutOfRegime, bisect_increasing, in_float_range, require_finite,
     require_integer,
 )
 
@@ -135,15 +135,15 @@ def effective_threshold_exact(cfg: CodingConfig) -> float:
 
     Bisection on [0.1, 2 x approx threshold], the branch where the rate is
     provably increasing, down to the two adjacent floats around the
-    crossing.  Raises TargetRateTooLow when the target rate is already met
+    crossing.  Raises OutOfRegime when the target rate is already met
     at the bracket floor, which signals an operating point outside the
-    approximation's envelope, and OutOfRegime when the rate at the
+    approximation's envelope, and also when the rate at the
     threshold overflows a float (a target rate above about 512 bit/use).
     """
     c, eps, rt = cfg.blocklength, cfg.eps, cfg.target_rate
     lo = GAMMA_FLOOR
     if max_coding_rate(lo, c, eps) >= rt:
-        raise TargetRateTooLow(
+        raise OutOfRegime(
             f"target rate {rt} is reached below gamma = {lo}; threshold bracket invalid"
         )
     # 2 x approx, and an OverflowError where that passes the float range

@@ -34,7 +34,7 @@ from ehaoi.energy_chain import (
     steady_closed_n1,
     steady_state,
 )
-from ehaoi.errors import NeverSufficient, OutOfRegime, SaturatedAccess
+from ehaoi.errors import OutOfRegime, SaturatedAccess
 from ehaoi.fbl import CodingConfig, effective_threshold_exact
 
 PHY_13DB = PhyConfig(alpha=3.8, r=3.0, tx_snr=db_to_linear(13.0), theta=1.3, eps=1e-6)
@@ -200,7 +200,7 @@ def test_interval_moment_bits_do_not_depend_on_the_python_version():
 
 def test_interval_requires_reachable_energy():
     ss = SteadyState(probs=np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(NeverSufficient):
+    with pytest.raises(OutOfRegime, match="no mass at or above level N"):
         interval_moments(ss, EnergyChainConfig(2, 2, 0.5, 0.5))
 
 
@@ -398,6 +398,8 @@ def test_scaling_ratio_approaches_one():
 
 def test_phy_validation_and_db_helper():
     assert db_to_linear(13.0) == pytest.approx(10**1.3, rel=1e-15)
+    # past the float range the link is noise-free; far below it, the SNR underflows to 0
+    assert db_to_linear(4000.0) == math.inf and db_to_linear(-4000.0) == 0.0
     with pytest.raises(ValueError):
         PhyConfig(alpha=2.0, r=3.0, tx_snr=1.0, theta=1.0, eps=0.0)
     with pytest.raises(ValueError):

@@ -284,6 +284,11 @@ def _with(doc, edit):
     return doc
 
 
+# no node ever updates, so the measured horizon sees no attempt
+NO_UPDATES_SIM = {"slots": 400, "realizations": 2, "side": 40.0,
+                  "updates": {"type": "bernoulli", "eta": 0.0}}
+
+
 @pytest.mark.parametrize("doc, key", [
     (_with(SIMULATE_DOC, lambda d: d.update(sweep={"name": "B", "values": [10, 30]})), "sweep"),
     (_with(THRESHOLD_DOC, lambda d: d.update(sweep={"name": "N", "values": [1, 2]})), "sweep"),
@@ -412,10 +417,11 @@ CURVE_DOC = {
 
 
 @pytest.mark.parametrize("doc, override, seed", [
-    (SIM_SPEC, None, 0), (SIM_SPEC, 7, 7), (CURVE_DOC, None, None),
-], ids=["sim-without-seed", "seed-override", "no-sim"])
+    (SIM_SPEC, None, 0), (SIM_SPEC, 7, 7), (CURVE_DOC, None, None), (CURVE_DOC, 7, None),
+], ids=["sim-without-seed", "seed-override", "no-sim", "no-sim-seed-override"])
 def test_curve_sidecar_records_the_seed_used(tmp_path, doc, override, seed):
-    # a sim section without a seed simulates with seed 0
+    # a sim section without a seed simulates with seed 0; a curve that
+    # simulates nothing used no seed, whatever --seed says
     paths = run_experiment(ExperimentSpec.from_dict(doc), out_dir=tmp_path, seed=override, quiet=True)
     assert json.loads(paths[1].read_text())["seed"] == seed
 
@@ -526,6 +532,36 @@ def test_n_sweep_solves_theta_only_at_the_swept_n(tmp_path):
     assert [row[0] for row in rows] == ["2", "3"]
 
 
+THETA_OR_CODE = {"aoi_curve": CURVE_DOC, "optimize": OPTIMIZE_DOC, "simulate": SIMULATE_DOC}
+
+
+@pytest.mark.parametrize("code", [
+    {"target_rate": 0.825, "bits_per_unit": 100}, {"target_rate": 0.825}, {"bits_per_unit": 100},
+], ids=["code", "target_rate", "bits_per_unit"])
+@pytest.mark.parametrize("kind", sorted(THETA_OR_CODE))
+def test_theta_with_a_code_is_bad_config(tmp_path, capsys, kind, code):
+    # a code sets theta at each point's N, so a given theta would be ignored
+    phy = {"alpha": 3.8, "r": 3.0, "snr_db": 20.0, "eps": 1e-6, "theta": 1.3, **code}
+    doc = _with(THETA_OR_CODE[kind], lambda d: d["params"].update(phy=phy))
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad-config: phy.theta ") and "not both" in err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("kind", sorted(THETA_OR_CODE))
+def test_snr_past_the_float_range_is_a_noise_free_link(tmp_path, kind):
+    # 400 dB already leaves no trace of noise in any formula or draw
+    csvs = []
+    for snr_db in (400.0, 4000.0):
+        doc = _with(THETA_OR_CODE[kind], lambda d: d["params"]["phy"].update(snr_db=snr_db))
+        out = tmp_path / str(snr_db)
+        assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 0
+        csvs.append((out / f"{doc['name']}.csv").read_bytes())
+    assert csvs[1] == csvs[0]
+
+
 @pytest.mark.parametrize("section, key, value, named", [
     ("net", "N", True, "net.N"),
     ("net", "xi", True, "net.xi"),
@@ -598,10 +634,18 @@ def test_link_longer_than_half_the_torus_is_bad_config(tmp_path, capsys):
      "expected node count below one"),
     (_with(SIMULATE_DOC, lambda d: d["params"]["net"].update(density=0.0001)),
      "expected node count below one"),
+    (_with(SIM_SPEC, lambda d: d["params"].update(sim=NO_UPDATES_SIM)), "no attempt or no delivery"),
+    (_with(SIMULATE_DOC, lambda d: d["params"].update(sim=NO_UPDATES_SIM)), "no attempt or no delivery"),
+    (_with(CURVE_DOC, lambda d: d["params"]["phy"].pop("theta")),
+     "phy.target_rate and phy.bits_per_unit are required"),
+    (_with(CURVE_DOC, lambda d: d["params"]["phy"].update(snr_db=-4000.0)), "tx_snr"),
 ], ids=["optimize-blocklength-floor", "optimize-without-code", "curve-sparse-density",
-        "simulate-sparse-density"])
+        "simulate-sparse-density", "curve-without-updates", "simulate-without-updates",
+        "curve-without-theta-or-code", "curve-snr-underflow"])
 def test_spec_value_refused_by_the_library_is_bad_config(tmp_path, capsys, doc, named):
-    # the optimizer's scan starts at N = 1, and the torus must hold a link on average
+    # the optimizer's scan starts at N = 1, the torus must hold a link on
+    # average, a simulated point must see an attempt and a delivery, and
+    # 10^-400 underflows to a zero transmit SNR
     out = tmp_path / "out"
     assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
@@ -720,13 +764,19 @@ _ARRIVALS = {"bernoulli": {"xi": _CHANCE}, "binomial": {"e_max": st.integers(0, 
 _UPDATES = {"bernoulli": {"eta": _CHANCE}, "periodic": {"period": st.integers(0, 5)}}
 
 
+# now and then an SNR past the float range on either side: 10^(snr_db / 10)
+# is then inf, the noise-free link, or 0, which is refused
+_SNR_DB = {0: st.floats(3083.0, 1e300), 1: st.floats(-1e300, -3083.0)}
+
+
 @st.composite
 def _phy_doc(draw, coded):
+    snr_db = _SNR_DB.get(draw(st.integers(0, 9)), st.floats(-10.0, 40.0))
     phy = {"alpha": draw(st.floats(2.05, 5.0)), "r": draw(st.floats(0.5, 10.0)),
-           "snr_db": draw(st.floats(-10.0, 40.0)), "eps": draw(st.floats(1e-7, 0.5))}
+           "snr_db": draw(snr_db), "eps": draw(st.floats(1e-7, 0.5))}
     if coded:
         phy.update(target_rate=draw(_RATE), bits_per_unit=draw(st.integers(50, 400)))
-    else:
+    if not coded or draw(st.integers(0, 9)) == 0:  # theta beside a code is refused
         phy["theta"] = draw(st.floats(0.05, 20.0))
     return phy
 

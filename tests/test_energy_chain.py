@@ -24,7 +24,7 @@ from ehaoi.energy_chain import (
     steady_infinite_buffer,
     steady_state,
 )
-from ehaoi.errors import NonConvergence, NotRecurrent, OutOfRegime
+from ehaoi.errors import NonConvergence, OutOfRegime
 
 XI_GRID = (0.2, 0.5, 0.8)
 ETA_GRID = (0.2, 0.5, 0.8)
@@ -361,7 +361,7 @@ def test_large_buffer_matches_oracle(n, b, xi, eta):
 # ---------------------------------------------------------------------------
 
 def test_infinite_requires_recurrence():
-    with pytest.raises(NotRecurrent):
+    with pytest.raises(OutOfRegime, match="energy never runs scarce"):
         steady_infinite_buffer(EnergyChainConfig(N=2, B=10, xi=0.9, eta=0.2))
 
 

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from ehaoi import fbl
-from ehaoi.errors import OutOfRegime, TargetRateTooLow
+from ehaoi.errors import OutOfRegime
 from ehaoi.fbl import (
     CodingConfig,
     effective_threshold_approx,
@@ -117,7 +117,7 @@ def test_threshold_shannon_limit():
 
 
 def test_target_rate_too_low():
-    with pytest.raises(TargetRateTooLow):
+    with pytest.raises(OutOfRegime, match="threshold bracket invalid"):
         effective_threshold_exact(_cfg(rt=0.1, eps=0.5))
 
 
