@@ -244,7 +244,7 @@ def small_buffer_split(net: NetworkConfig, phy: PhyConfig) -> tuple[float, float
 def network_aoi_small_buffer(net: NetworkConfig, phy: PhyConfig) -> float:
     """Closed-form network average AoI for the single-transmission buffer B = N."""
     if net.B != net.N:
-        raise ValueError("small-buffer closed form holds for B == N")
+        raise OutOfRegime("small-buffer closed form holds for B == N")
     sa, rectification = small_buffer_split(net, phy)
     return sa + rectification
 
@@ -253,7 +253,7 @@ def network_aoi_small_buffer(net: NetworkConfig, phy: PhyConfig) -> float:
 def network_aoi_greedy(net: NetworkConfig, phy: PhyConfig) -> float:
     """Closed-form network average AoI under greedy updating (eta = 1, any B >= N)."""
     if net.eta != 1.0:
-        raise ValueError("greedy closed form holds for eta == 1")
+        raise OutOfRegime("greedy closed form holds for eta == 1")
     n, xi = net.N, net.xi
     return slotted_aloha_aoi(xi / n, net, phy) - (n - 1.0) / (2.0 * xi)
 
@@ -265,7 +265,7 @@ def zeta_rectification(n: int, eta: float, xi: float, z: float) -> float:
     and in the eta -> 1 limit, non-negative on eta in [xi/N, 1].
     """
     if z == 1.0:
-        raise ValueError("zeta is undefined at the balance point z = 1")
+        raise OutOfRegime("zeta is undefined at the balance point z = 1")
     return (
         -z / (xi * (1.0 - z))
         + z / (n * eta * (1.0 - z))

@@ -10,6 +10,9 @@ The phy/net kinds (aoi_curve, optimize, simulate) build every point
 alike: its net; its phy, where a code sets theta at the point's N and a
 theta beside a code is refused; the analytic value; the simulated point,
 refused if its horizon measured nothing.  The seed is null if nothing ran.
+A simulated point draws Bernoulli arrivals and updates at net.xi and
+net.eta, the analytic column's model; only simulate, which has no such
+column, takes other patterns.  The CSV is always ``<name>.csv``.
 
 Exit codes: 0 ok, 2 bad-config, 3 out-of-regime, 4 non-convergence, 5 io.
 A spec value is refused as bad-config while the configs are built from
@@ -138,7 +141,7 @@ def _pattern(**classes: str) -> Callable[[str, Any], Any]:
 
         name = _text(f"{key}.type", _object(key, doc).get("type"))
         if name not in classes:
-            raise BadConfig(f"unknown {key} pattern {name!r}")
+            raise BadConfig(f"unknown {key} pattern {name!r}; known patterns: {', '.join(classes)}")
         cls = getattr(sim, classes[name])
         readers = {f.name: _integer if f.type in (int, "int") else _number
                    for f in dataclasses.fields(cls)}
@@ -156,17 +159,15 @@ _PHY_SECTION = _section(
      "target_rate": _number, "bits_per_unit": _integer},
     ("alpha", "r", "snr_db", "eps"),
 )
-_SIM_SECTION = _section(
-    {"slots": _integer, "realizations": _integer, "seed": _integer, "side": _number,
-     "warmup": _integer,
-     "arrivals": _pattern(bernoulli="BernoulliArrivals", binomial="BinomialArrivals",
-                          markov="TwoStateMarkovArrivals"),
-     "updates": _pattern(bernoulli="BernoulliUpdates", periodic="PeriodicUpdates")},
-    ("slots", "realizations", "side"),
-)
+_SIM = {"slots": _integer, "realizations": _integer, "seed": _integer, "side": _number, "warmup": _integer}
+_SIM_REQUIRED = ("slots", "realizations", "side")
+_SIM_SECTION = _section(_SIM, _SIM_REQUIRED)
+# a pattern replaces net.xi's or net.eta's Bernoulli draws, so only simulate reads one
+_PATTERN_SIM_SECTION = _section(
+    {**_SIM, "arrivals": _pattern(binomial="BinomialArrivals", markov="TwoStateMarkovArrivals"),
+     "updates": _pattern(periodic="PeriodicUpdates")}, _SIM_REQUIRED)
 _SPEC = {"name": _text, "kind": _text, "params": _object,
-         "sweep": _section({"name": _text, "values": _numbers}, ("name", "values")),
-         "output": _text}
+         "sweep": _section({"name": _text, "values": _numbers}, ("name", "values"))}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -182,7 +183,6 @@ class ExperimentSpec:
     params: dict
     args: dict
     sweep: tuple[str, tuple[float, ...]] | None = None
-    output: str | None = None
 
     @classmethod
     def from_dict(cls, doc: dict, fallback_name: str = "experiment") -> "ExperimentSpec":
@@ -201,7 +201,6 @@ class ExperimentSpec:
             params=params,
             args=_read("params", params, readers, required),
             sweep=None if sweep is None else (sweep["name"], tuple(sweep["values"])),
-            output=top.get("output"),
         )
 
 
@@ -370,7 +369,7 @@ _RUNNERS = {
     "aoi_curve": (_run_curve, {**_PHY_NET, "formula": _text, "sim": _SIM_SECTION},
                   ("phy", "net"), True),
     "optimize": (_run_optimize, _PHY_NET, ("phy", "net"), True),
-    "simulate": (_run_simulate, {**_PHY_NET, "sim": _SIM_SECTION}, ("phy", "net", "sim"), False),
+    "simulate": (_run_simulate, {**_PHY_NET, "sim": _PATTERN_SIM_SECTION}, ("phy", "net", "sim"), False),
 }
 
 
@@ -380,7 +379,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path = ".", seed: int | 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header, rows, extra = _RUNNERS[spec.kind][0](spec, seed)
-    csv_path = out / (spec.output or f"{spec.name}.csv")
+    csv_path = out / f"{spec.name}.csv"
     _write_csv(csv_path, header, rows)
     sidecar = {
         "name": spec.name,

@@ -302,6 +302,19 @@ def test_theorem2_greedy_reduction():
     )
 
 
+@pytest.mark.parametrize("formula, args, message", [
+    (network_aoi_small_buffer, (NetworkConfig(density=0.01, N=2, B=3, xi=0.5, eta=0.5), PHY_13DB),
+     "B == N"),
+    (network_aoi_greedy, (NetworkConfig(density=0.01, N=2, B=2, xi=0.5, eta=0.9), PHY_13DB),
+     "eta == 1"),
+    (zeta_rectification, (3, 0.5, 0.3, 1.0), "balance point z = 1"),
+], ids=["small-buffer-B-not-N", "greedy-eta-below-1", "zeta-at-balance"])
+def test_closed_form_outside_its_regime_is_out_of_regime(formula, args, message):
+    # the arguments are valid configs; the closed form just does not hold there
+    with pytest.raises(OutOfRegime, match=message):
+        formula(*args)
+
+
 # ---------------------------------------------------------------------------
 # rectification term
 # ---------------------------------------------------------------------------

@@ -222,9 +222,17 @@ SIM_SPEC = {
     "kind": "aoi_curve",
     "params": {"phy": {"alpha": 3.8, "r": 3.0, "snr_db": 13.0, "eps": 1e-6, "theta": 1.3},
                "net": {"density": 0.01, "N": 2, "B": 30, "xi": 0.5, "eta": 0.3},
-               "sim": {"slots": 400, "realizations": 1, "side": 40.0,
-                       "arrivals": {"type": "binomial", "e_max": 4, "p": 0.1}}},
+               "sim": {"slots": 400, "realizations": 1, "side": 40.0}},
     "sweep": {"name": "B", "values": [30]},
+}
+# only the simulate kind reads arrival and update patterns
+PATTERN_SPEC = {
+    "name": "patterns",
+    "kind": "simulate",
+    "params": {"phy": SIM_SPEC["params"]["phy"], "net": SIM_SPEC["params"]["net"],
+               "sim": {**SIM_SPEC["params"]["sim"],
+                       "arrivals": {"type": "binomial", "e_max": 4, "p": 0.1},
+                       "updates": {"type": "periodic", "period": 3}}},
 }
 
 
@@ -236,7 +244,7 @@ SIM_SPEC = {
     ("sim.arrivals", "xi", 0.5),
 ], ids=["census", "boundary", "net-typo", "phy-typo", "pattern-field"])
 def test_unknown_spec_key_is_bad_config(tmp_path, capsys, section, key, value):
-    doc = json.loads(json.dumps(SIM_SPEC))
+    doc = json.loads(json.dumps(PATTERN_SPEC))
     target = doc["params"]
     for part in section.split("."):
         target = target[part]
@@ -251,7 +259,7 @@ def test_unknown_spec_key_is_bad_config(tmp_path, capsys, section, key, value):
 @pytest.mark.parametrize("value", [5, [1, 2]], ids=["number", "list"])
 @pytest.mark.parametrize("section", ["phy", "net", "sim", "sim.arrivals", "sim.updates"])
 def test_non_object_spec_section_is_bad_config(tmp_path, capsys, section, value):
-    doc = json.loads(json.dumps(SIM_SPEC))
+    doc = json.loads(json.dumps(PATTERN_SPEC))
     *parents, last = section.split(".")
     target = doc["params"]
     for part in parents:
@@ -284,9 +292,15 @@ def _with(doc, edit):
     return doc
 
 
-# no node ever updates, so the measured horizon sees no attempt
-NO_UPDATES_SIM = {"slots": 400, "realizations": 2, "side": 40.0,
-                  "updates": {"type": "bernoulli", "eta": 0.0}}
+# at eta 1e-9, no node of the 40 m torus (about 16 links) is expected to
+# update in 2 x 400 slots, so the measured horizon sees no attempt
+NO_UPDATES = {"net": {**SIM_SPEC["params"]["net"], "eta": 1e-9},
+              "sim": {"slots": 400, "realizations": 2, "side": 40.0}}
+BERNOULLI = {"arrivals": {"type": "bernoulli", "xi": 0.5}, "updates": {"type": "bernoulli", "eta": 0.5}}
+
+
+def _sim_with(doc, **patterns):
+    return _with(doc, lambda d: d["params"]["sim"].update(patterns))
 
 
 @pytest.mark.parametrize("doc, key", [
@@ -300,9 +314,19 @@ NO_UPDATES_SIM = {"slots": 400, "realizations": 2, "side": 40.0,
     (_with(THRESHOLD_DOC, lambda d: d["params"].update(eps=1e-3)), "eps"),
     (_with(SIMULATE_DOC, lambda d: d["params"]["phy"].update(tx_snr=20.0)), "tx_snr"),
     (_with(SIMULATE_DOC, lambda d: d["params"]["phy"].pop("snr_db")), "snr_db"),
+    # net.xi and net.eta are the Bernoulli rates; patterns are only for simulate
+    (_sim_with(SIMULATE_DOC, arrivals=BERNOULLI["arrivals"]), "bernoulli"),
+    (_sim_with(SIMULATE_DOC, updates=BERNOULLI["updates"]), "bernoulli"),
+    (_sim_with(SIM_SPEC, arrivals=BERNOULLI["arrivals"]), "arrivals"),
+    (_sim_with(SIM_SPEC, updates=BERNOULLI["updates"]), "updates"),
+    (_sim_with(SIM_SPEC, arrivals=PATTERN_SPEC["params"]["sim"]["arrivals"]), "arrivals"),
+    (_sim_with(SIM_SPEC, updates=PATTERN_SPEC["params"]["sim"]["updates"]), "updates"),
+    (_with(STEADY_DOC, lambda d: d.update(output="elsewhere.csv")), "output"),
 ], ids=["simulate-sweep", "threshold-sweep", "top-level-typo", "simulate-formula",
         "optimize-sim", "steady-sweep", "threshold-eps_value", "threshold-eps", "phy-tx_snr",
-        "phy-without-snr_db"])
+        "phy-without-snr_db", "simulate-bernoulli-arrivals", "simulate-bernoulli-updates",
+        "curve-bernoulli-arrivals", "curve-bernoulli-updates", "curve-arrivals", "curve-updates",
+        "top-level-output"])
 def test_stray_spec_key_is_bad_config(tmp_path, capsys, doc, key):
     out = tmp_path / "out"
     assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
@@ -346,11 +370,11 @@ MARKOV = {"type": "markov", "xi_good": 0.8, "xi_bad": 0.2, "p_good_to_bad": 0.1,
     ("arrivals", {**MARKOV, "p_bad_to_good": -0.1}, "p_bad_to_good"),
     ("arrivals", {"type": "binomial", "e_max": 0, "p": 0.1}, "e_max must be >= 1"),
     ("arrivals", {"type": "binomial", "e_max": 4, "p": 1.5}, "probabilities in [0, 1]: p"),
-    ("arrivals", {"type": "bernoulli", "xi": 2.0}, "probabilities in [0, 1]: xi"),
+    ("arrivals", {**MARKOV, "xi_bad": 2.0}, "probabilities in [0, 1]: xi_bad"),
     ("updates", {"type": "periodic", "period": 0}, "period must be >= 1"),
-    ("updates", {"type": "bernoulli", "eta": -0.5}, "probabilities in [0, 1]: eta"),
-], ids=["markov-frozen", "markov-xi", "markov-p", "binomial-e_max", "binomial-p", "bernoulli-xi",
-        "periodic-zero", "bernoulli-eta"])
+    ("arrivals", {"type": "binomial", "e_max": 4, "p": -0.5}, "probabilities in [0, 1]: p"),
+], ids=["markov-frozen", "markov-xi", "markov-p", "binomial-e_max", "binomial-p", "markov-xi_bad",
+        "periodic-zero", "binomial-p-negative"])
 def test_out_of_range_pattern_field_is_bad_config(tmp_path, capsys, section, pattern, named):
     doc = _with(SIMULATE_DOC, lambda d: d["params"]["sim"].update({section: pattern}))
     out = tmp_path / "out"
@@ -362,8 +386,9 @@ def test_out_of_range_pattern_field_is_bad_config(tmp_path, capsys, section, pat
 
 def test_known_spec_keys_run(tmp_path):
     out = tmp_path / "out"
-    assert main(["--spec", str(write_spec(tmp_path, SIM_SPEC)), "--out", str(out), "--quiet"]) == 0
-    assert (out / "keys.csv").exists()
+    for doc in (SIM_SPEC, PATTERN_SPEC):
+        assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 0
+    assert (out / "keys.csv").exists() and (out / "patterns.csv").exists()
 
 
 @pytest.mark.parametrize("formula", ["small_buffer", "greedy", "mystery"])
@@ -569,10 +594,9 @@ def test_snr_past_the_float_range_is_a_noise_free_link(tmp_path, kind):
     ("phy", "bits_per_unit", "100", "phy.bits_per_unit"),
     ("sweep", "values", [True], "sweep.values"),
     ("sweep", "values", "48", "sweep.values"),
-    (None, "output", 5, "output"),
     (None, "name", ["trunc"], "name"),
 ], ids=["net.N-bool", "net.xi-bool", "net.density-string", "phy.bits_per_unit-string",
-        "sweep-bool", "sweep-string", "output-number", "name-list"])
+        "sweep-bool", "sweep-string", "name-list"])
 def test_mistyped_field_is_bad_config(tmp_path, capsys, section, key, value, named):
     # a bool or a numeric string is not coerced into a number, nor a
     # string iterated into a list
@@ -634,8 +658,8 @@ def test_link_longer_than_half_the_torus_is_bad_config(tmp_path, capsys):
      "expected node count below one"),
     (_with(SIMULATE_DOC, lambda d: d["params"]["net"].update(density=0.0001)),
      "expected node count below one"),
-    (_with(SIM_SPEC, lambda d: d["params"].update(sim=NO_UPDATES_SIM)), "no attempt or no delivery"),
-    (_with(SIMULATE_DOC, lambda d: d["params"].update(sim=NO_UPDATES_SIM)), "no attempt or no delivery"),
+    (_with(SIM_SPEC, lambda d: d["params"].update(NO_UPDATES)), "no attempt or no delivery"),
+    (_with(SIMULATE_DOC, lambda d: d["params"].update(NO_UPDATES)), "no attempt or no delivery"),
     (_with(CURVE_DOC, lambda d: d["params"]["phy"].pop("theta")),
      "phy.target_rate and phy.bits_per_unit are required"),
     (_with(CURVE_DOC, lambda d: d["params"]["phy"].update(snr_db=-4000.0)), "tx_snr"),
@@ -686,7 +710,7 @@ ANALYTIC_DOCS = [doc for doc in (json.loads(p.read_text()) for p in sorted(RECIP
                  if "sim" not in doc["params"]] + [THRESHOLD_DOC, STEADY_DOC]
 # a wrongly typed value for any field; none is a large size, which would allocate
 MUTANTS = {"string": "x", "bool": True, "null": None, "list": [], "object": {}, "string list": ["x"]}
-TEXT_KEYS = {"name", "kind", "output", "formula"}  # a string is the right type for these
+TEXT_KEYS = {"name", "kind", "formula"}  # a string is the right type for these
 REQUIRED = {("kind",), ("params", "phy"), ("params", "net"), ("params", "bits_per_unit"),
             ("params", "target_rate"), ("sweep", "name"), ("sweep", "values"),
             *(("params", "phy", key) for key in ("alpha", "r", "snr_db", "eps")),
@@ -759,9 +783,9 @@ def _net(draw):
 # the exact threshold leaves the float range from about 512 bit/use on
 _RATE = st.one_of(st.floats(0.01, 4.0), st.floats(4.0, 2000.0))
 _CHANCE = st.floats(-0.25, 1.25)  # a pattern's probability, in range or not
-_ARRIVALS = {"bernoulli": {"xi": _CHANCE}, "binomial": {"e_max": st.integers(0, 4), "p": _CHANCE},
+_ARRIVALS = {"binomial": {"e_max": st.integers(0, 4), "p": _CHANCE},
              "markov": {key: _CHANCE for key in ("xi_good", "xi_bad", "p_good_to_bad", "p_bad_to_good")}}
-_UPDATES = {"bernoulli": {"eta": _CHANCE}, "periodic": {"period": st.integers(0, 5)}}
+_UPDATES = {"periodic": {"period": st.integers(0, 5)}}
 
 
 # now and then an SNR past the float range on either side: 10^(snr_db / 10)
@@ -788,12 +812,18 @@ def _pattern_doc(draw, patterns):
 
 
 @st.composite
-def _sim_doc(draw):
-    """A small sim section: density 0.5 on a 25 m side holds about 300 links."""
+def _sim_doc(draw, patterns):
+    """A small sim section: density 0.5 on a 25 m side holds about 300 links.
+
+    Arrival and update patterns are drawn only if ``patterns``: the simulate
+    kind reads them, aoi_curve simulates the Bernoulli model it analyses.
+    """
     sim = {"slots": draw(st.integers(1, 200)), "realizations": draw(st.integers(1, 3)),
            "side": draw(st.floats(1.0, 25.0)), "seed": draw(st.integers(0, 1000))}
-    for key, field in (("warmup", st.integers(0, 200)), ("arrivals", _pattern_doc(_ARRIVALS)),
-                       ("updates", _pattern_doc(_UPDATES))):
+    fields = {"warmup": st.integers(0, 200)}
+    if patterns:
+        fields.update(arrivals=_pattern_doc(_ARRIVALS), updates=_pattern_doc(_UPDATES))
+    for key, field in fields.items():
         if draw(st.booleans()):
             sim[key] = draw(field)
     return sim
@@ -822,7 +852,7 @@ def _drawn_spec(draw):
         if kind == "aoi_curve":
             params["formula"] = draw(st.sampled_from(["general", "large_buffer"]))
         if kind == "simulate" or (kind == "aoi_curve" and draw(st.booleans())):
-            params["sim"] = draw(_sim_doc())
+            params["sim"] = draw(_sim_doc(patterns=kind == "simulate"))
     doc = {"name": "drawn", "kind": kind, "params": params}
     if kind == "aoi_curve" or (kind == "optimize" and draw(st.booleans())):
         doc["sweep"] = draw(_sweep())
