@@ -2,17 +2,19 @@
 
 Each experiment kind drives one pipeline (stationary distributions,
 decoding thresholds, analytic AoI curves, joint optimization or Monte
-Carlo simulation).  Reruns of an identical spec produce byte-identical
-CSVs; the sidecar records the fully resolved configuration, the library
-version, and the seed actually used.
+Carlo simulation).  The spec is the one source of a run: its required
+``name``, a plain file stem, names ``<name>.csv``, and a ``sim`` section
+requires its ``seed``.  Reruns of an identical spec produce
+byte-identical CSVs; the sidecar restates the spec (name, kind, params,
+sweep) beside the library version and the CSV's file name.
 
 The phy/net kinds (aoi_curve, optimize, simulate) build every point
 alike: its net; its phy, where a code sets theta at the point's N and a
 theta beside a code is refused; the analytic value; the simulated point,
-refused if its horizon measured nothing.  The seed is null if nothing ran.
-A simulated point draws Bernoulli arrivals and updates at net.xi and
-net.eta, the analytic column's model; only simulate, which has no such
-column, takes other patterns.  The CSV is always ``<name>.csv``.
+refused if its horizon measured nothing.  A simulated point draws
+Bernoulli arrivals and updates at net.xi and net.eta, the analytic
+column's model; only simulate, which has no such column, takes other
+patterns.
 
 Exit codes: 0 ok, 2 bad-config, 3 out-of-regime, 4 non-convergence, 5 io.
 A spec value is refused as bad-config while the configs are built from
@@ -102,6 +104,14 @@ def _text(key: str, value: Any) -> str:
     return value
 
 
+def _stem(key: str, value: Any) -> str:
+    """A plain file stem, so that ``<stem>.csv`` lands in the output directory itself."""
+    name = _text(key, value)
+    if not name or name != Path(name).name or name == ".." or "\0" in name:
+        raise BadConfig(f"{key} must be a plain file name, with no directory part, got {name!r}")
+    return name
+
+
 def _object(key: str, value: Any) -> dict:
     if not isinstance(value, dict):
         raise BadConfig(f"{key} must be a JSON object")
@@ -160,13 +170,13 @@ _PHY_SECTION = _section(
     ("alpha", "r", "snr_db", "eps"),
 )
 _SIM = {"slots": _integer, "realizations": _integer, "seed": _integer, "side": _number, "warmup": _integer}
-_SIM_REQUIRED = ("slots", "realizations", "side")
+_SIM_REQUIRED = ("slots", "realizations", "side", "seed")
 _SIM_SECTION = _section(_SIM, _SIM_REQUIRED)
 # a pattern replaces net.xi's or net.eta's Bernoulli draws, so only simulate reads one
 _PATTERN_SIM_SECTION = _section(
     {**_SIM, "arrivals": _pattern(binomial="BinomialArrivals", markov="TwoStateMarkovArrivals"),
      "updates": _pattern(periodic="PeriodicUpdates")}, _SIM_REQUIRED)
-_SPEC = {"name": _text, "kind": _text, "params": _object,
+_SPEC = {"name": _stem, "kind": _text, "params": _object,
          "sweep": _section({"name": _text, "values": _numbers}, ("name", "values"))}
 
 
@@ -185,8 +195,8 @@ class ExperimentSpec:
     sweep: tuple[str, tuple[float, ...]] | None = None
 
     @classmethod
-    def from_dict(cls, doc: dict, fallback_name: str = "experiment") -> "ExperimentSpec":
-        top = _read("spec", doc, _SPEC, ("kind",))
+    def from_dict(cls, doc: dict) -> "ExperimentSpec":
+        top = _read("spec", doc, _SPEC, ("name", "kind"))
         kind = top["kind"]
         if kind not in _RUNNERS:
             raise BadConfig(f"kind must be one of {tuple(_RUNNERS)}, got {kind!r}")
@@ -196,7 +206,7 @@ class ExperimentSpec:
         params = top.get("params", {})
         sweep = top.get("sweep")
         return cls(
-            name=top.get("name", fallback_name),
+            name=top["name"],
             kind=kind,
             params=params,
             args=_read("params", params, readers, required),
@@ -240,13 +250,10 @@ def _phy(doc: dict, n_units: int) -> PhyConfig:
     return phy if "theta" in doc else dataclasses.replace(phy, theta=_config(theta_for, phy, n_units))
 
 
-def _sim_config(doc: dict | None, seed_override: int | None) -> SimConfig | None:
-    if doc is None:
-        return None
+def _sim_config(doc: dict) -> SimConfig:
     from .sim import SimConfig
 
-    seed = seed_override if seed_override is not None else doc.get("seed", 0)
-    return _config(SimConfig, **{**doc, "seed": seed})
+    return _config(SimConfig, **doc)
 
 
 def _set_param(net: NetworkConfig, name: str, value: float) -> NetworkConfig:
@@ -293,7 +300,7 @@ def _analytic_aoi(net: NetworkConfig, phy: PhyConfig, formula: str) -> float:
     raise BadConfig(f"formula must be 'general' or 'large_buffer', got {formula!r}")
 
 
-def _run_steady_state(spec: ExperimentSpec, seed_override):
+def _run_steady_state(spec: ExperimentSpec):
     cfg = _config(NetworkConfig, **spec.args["net"]).chain
     # the closed_form column is the exact cut recursion, numeric the Hessenberg oracle
     exact = steady_state(cfg)
@@ -303,10 +310,10 @@ def _run_steady_state(spec: ExperimentSpec, seed_override):
         [i, exact.probs[i], numeric.probs[i], abs(exact.probs[i] - numeric.probs[i])]
         for i in range(cfg.B + 1)
     ]
-    return header, rows, {}
+    return header, rows
 
 
-def _run_threshold(spec: ExperimentSpec, seed_override):
+def _run_threshold(spec: ExperimentSpec):
     p = spec.args
     header = ["blocklength", "eps", "exact", "approx", "abs_gap"]
     rows = []
@@ -316,14 +323,14 @@ def _run_threshold(spec: ExperimentSpec, seed_override):
             exact = effective_threshold_exact(coding)
             approx = effective_threshold_approx(coding)
             rows.append([coding.blocklength, eps, exact, approx, approx - exact])
-    return header, rows, {}
+    return header, rows
 
 
-def _run_curve(spec: ExperimentSpec, seed_override):
+def _run_curve(spec: ExperimentSpec):
     if spec.sweep is None:
         raise BadConfig(f"kind {spec.kind} requires a sweep section")
     formula = spec.args.get("formula", "general")
-    sim_cfg = _sim_config(spec.args.get("sim"), seed_override)
+    sim_cfg = _sim_config(spec.args["sim"]) if "sim" in spec.args else None
     rows = []
     for value, net, phy in _points(spec.args, spec.sweep):
         row = [value, _analytic_aoi(net, phy, formula), "", ""]
@@ -331,12 +338,10 @@ def _run_curve(spec: ExperimentSpec, seed_override):
             report = _simulate(sim_cfg, phy, net)
             row[2:] = [report.network_aoi, report.ci_halfwidth]
         rows.append(row)
-    return [spec.sweep[0], "analytic_aoi", "sim_aoi", "sim_ci"], rows, {
-        "formula": formula, "simulated": sim_cfg is not None,
-        "seed": None if sim_cfg is None else sim_cfg.seed}
+    return [spec.sweep[0], "analytic_aoi", "sim_aoi", "sim_ci"], rows
 
 
-def _run_optimize(spec: ExperimentSpec, seed_override):
+def _run_optimize(spec: ExperimentSpec):
     name, values = spec.sweep or ("density", (spec.args["net"]["density"],))
     rows = []
     for value, net, phy in _points(spec.args, (name, values)):
@@ -344,22 +349,20 @@ def _run_optimize(spec: ExperimentSpec, seed_override):
         _config(theta_for, phy, 1)
         best = optimize(phy, net)
         rows.append([value, best.aoi_star, best.eta_star, best.n_star, best.regime])
-    return [name, "aoi_star", "eta_star", "n_star", "regime"], rows, {}
+    return [name, "aoi_star", "eta_star", "n_star", "regime"], rows
 
 
-def _run_simulate(spec: ExperimentSpec, seed_override):
+def _run_simulate(spec: ExperimentSpec):
     [(_, net, phy)] = _points(spec.args, None)
-    sim_cfg = _sim_config(spec.args["sim"], seed_override)
-    report = _simulate(sim_cfg, phy, net)
+    report = _simulate(_sim_config(spec.args["sim"]), phy, net)
     header = ["network_aoi", "ci_halfwidth", "empirical_mu", "empirical_inv_mu",
               "interval_mean", "interval_second", "slots_measured"]
-    return header, [[getattr(report, field) for field in _MEASURED]], {"seed": sim_cfg.seed}
+    return header, [[getattr(report, field) for field in _MEASURED]]
 
 
 _PHY_NET = {"phy": _PHY_SECTION, "net": _NET_SECTION}
 # kind -> (runner, its params table, the required params keys, whether it
-# reads a sweep); each runner maps (spec, seed override) to (header, rows,
-# sidecar extras)
+# reads a sweep); each runner maps a spec to the CSV's (header, rows)
 _RUNNERS = {
     "steady_state": (_run_steady_state, {"net": _NET_SECTION}, ("net",), False),
     "threshold": (_run_threshold,
@@ -373,27 +376,24 @@ _RUNNERS = {
 }
 
 
-def run_experiment(spec: ExperimentSpec, out_dir: str | Path = ".", seed: int | None = None,
-                   quiet: bool = False) -> list[Path]:
+def run_experiment(spec: ExperimentSpec, out_dir: str | Path = ".", quiet: bool = False) -> list[Path]:
     """Execute one experiment spec; returns the written file paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    header, rows, extra = _RUNNERS[spec.kind][0](spec, seed)
+    header, rows = _RUNNERS[spec.kind][0](spec)
     csv_path = out / f"{spec.name}.csv"
     _write_csv(csv_path, header, rows)
     sidecar = {
         "name": spec.name,
         "kind": spec.kind,
         "library_version": __version__,
-        "seed": None,  # a runner that simulated records the seed it used
         "params": spec.params,
         "sweep": None if spec.sweep is None else {"name": spec.sweep[0], "values": list(spec.sweep[1])},
         "outputs": [csv_path.name],
-        **extra,
     }
     sidecar_path = csv_path.with_suffix(".config.json")
     with open(sidecar_path, "w", encoding="ascii") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True, default=str)
+        json.dump(sidecar, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if not quiet:
         print(f"wrote {csv_path} and {sidecar_path}")
@@ -407,16 +407,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--spec", required=True, help="path to the JSON experiment spec")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override the spec seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; the work is single-threaded")
+                        help="accepted for compatibility and ignored; the simulator's matrix products"
+                             " run on the BLAS thread pool, which moves the timing, not the output")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
     try:
         with open(args.spec, encoding="utf-8") as fh:
             doc = _config(json.load, fh)
-        spec = ExperimentSpec.from_dict(doc, fallback_name=Path(args.spec).stem)
-        run_experiment(spec, out_dir=args.out, seed=args.seed, quiet=args.quiet)
+        run_experiment(ExperimentSpec.from_dict(doc), out_dir=args.out, quiet=args.quiet)
     except EhAoiError as exc:  # each type carries its exit code and label
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -11,13 +11,14 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ehaoi
-from ehaoi.cli import ExperimentSpec, main, run_experiment
+from ehaoi.cli import _MEASURED, ExperimentSpec, main, run_experiment
 from ehaoi.energy_chain import EnergyChainConfig, steady_state
 from ehaoi.errors import BadConfig
 from ehaoi.fbl import CodingConfig, effective_threshold_exact
@@ -62,9 +63,7 @@ def test_steady_state_csv_contract(tmp_path):
     ss = steady_state(EnergyChainConfig(2, 8, 0.5, 0.5))
     assert float(rows[0][1]) == pytest.approx(ss.probs[0], rel=1e-10)
     assert all(float(r[3]) <= 1e-10 for r in rows)
-    sidecar = json.loads(paths[1].read_text())
-    assert set(sidecar) == {"name", "kind", "library_version", "seed", "params", "sweep", "outputs"}
-    assert sidecar["kind"] == "steady_state"
+    assert json.loads(paths[1].read_text())["kind"] == "steady_state"
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -100,24 +99,6 @@ def test_aoi_curve_analytic_sweep(tmp_path):
     assert [float(r[0]) for r in rows] == [2, 3, 4, 8, 20]
     assert all(float(r[1]) > 0 for r in rows)
     assert all(r[2] == "" for r in rows)
-
-
-def test_simulate_kind_with_seed_override(tmp_path):
-    doc = {
-        "name": "simrun",
-        "kind": "simulate",
-        "params": {
-            "phy": {"alpha": 3.8, "r": 3.0, "snr_db": 13.0, "eps": 1e-6, "theta": 1.3},
-            "net": {"density": 0.01, "N": 2, "B": 10, "xi": 0.5, "eta": 0.5},
-            "sim": {"slots": 400, "realizations": 2, "side": 40.0, "seed": 3},
-        },
-    }
-    paths = run_experiment(ExperimentSpec.from_dict(doc), out_dir=tmp_path, seed=99, quiet=True)
-    header, rows = read_csv(paths[0])
-    assert header[0] == "network_aoi"
-    assert len(rows) == 1
-    sidecar = json.loads(paths[1].read_text())
-    assert sidecar["seed"] == 99
 
 
 def test_optimize_kind(tmp_path):
@@ -167,14 +148,15 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["--spec", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("bad-config: ")
     # bad-config: unknown kind
-    assert main(["--spec", str(write_spec(tmp_path, {"kind": "mystery"}, "k.json"))]) == 2
-    assert capsys.readouterr().err.startswith("bad-config: ")
+    assert main(["--spec", str(write_spec(tmp_path, {"name": "k", "kind": "mystery"}, "k.json"))]) == 2
+    assert capsys.readouterr().err.startswith("bad-config: kind ")
     # bad-config: missing section
-    doc = {"kind": "aoi_curve", "params": {}, "sweep": {"name": "B", "values": [2]}}
+    doc = {"name": "m", "kind": "aoi_curve", "params": {}, "sweep": {"name": "B", "values": [2]}}
     assert main(["--spec", str(write_spec(tmp_path, doc, "m.json"))]) == 2
-    assert capsys.readouterr().err.startswith("bad-config: ")
+    assert capsys.readouterr().err.startswith("bad-config: params is missing ")
     # out-of-regime: saturated access (xi = eta = 1, N = 1 under interference)
     doc = {
+        "name": "s",
         "kind": "aoi_curve",
         "params": {
             "phy": {"alpha": 3.8, "r": 3.0, "snr_db": 13.0, "eps": 1e-6, "theta": 1.3},
@@ -222,7 +204,7 @@ SIM_SPEC = {
     "kind": "aoi_curve",
     "params": {"phy": {"alpha": 3.8, "r": 3.0, "snr_db": 13.0, "eps": 1e-6, "theta": 1.3},
                "net": {"density": 0.01, "N": 2, "B": 30, "xi": 0.5, "eta": 0.3},
-               "sim": {"slots": 400, "realizations": 1, "side": 40.0}},
+               "sim": {"slots": 400, "realizations": 1, "side": 40.0, "seed": 0}},
     "sweep": {"name": "B", "values": [30]},
 }
 # only the simulate kind reads arrival and update patterns
@@ -275,7 +257,7 @@ SIMULATE_DOC = {
     "name": "one_point",
     "kind": "simulate",
     "params": {"phy": SIM_SPEC["params"]["phy"], "net": SIM_SPEC["params"]["net"],
-               "sim": {"slots": 400, "realizations": 1, "side": 40.0}},
+               "sim": {"slots": 400, "realizations": 1, "side": 40.0, "seed": 0}},
 }
 OPTIMIZE_DOC = {
     "name": "best",
@@ -295,7 +277,7 @@ def _with(doc, edit):
 # at eta 1e-9, no node of the 40 m torus (about 16 links) is expected to
 # update in 2 x 400 slots, so the measured horizon sees no attempt
 NO_UPDATES = {"net": {**SIM_SPEC["params"]["net"], "eta": 1e-9},
-              "sim": {"slots": 400, "realizations": 2, "side": 40.0}}
+              "sim": {"slots": 400, "realizations": 2, "side": 40.0, "seed": 0}}
 BERNOULLI = {"arrivals": {"type": "bernoulli", "xi": 0.5}, "updates": {"type": "bernoulli", "eta": 0.5}}
 
 
@@ -441,14 +423,39 @@ CURVE_DOC = {
 }
 
 
-@pytest.mark.parametrize("doc, override, seed", [
-    (SIM_SPEC, None, 0), (SIM_SPEC, 7, 7), (CURVE_DOC, None, None), (CURVE_DOC, 7, None),
-], ids=["sim-without-seed", "seed-override", "no-sim", "no-sim-seed-override"])
-def test_curve_sidecar_records_the_seed_used(tmp_path, doc, override, seed):
-    # a sim section without a seed simulates with seed 0; a curve that
-    # simulates nothing used no seed, whatever --seed says
-    paths = run_experiment(ExperimentSpec.from_dict(doc), out_dir=tmp_path, seed=override, quiet=True)
-    assert json.loads(paths[1].read_text())["seed"] == seed
+# names a spec may not give: each would write outside --out, a hidden or
+# nameless file, or no file at all
+UNSAFE_NAMES = {"parent": "../escaped", "empty": "", "directory": "a/b", "dot-dot": "..", "dot": ".",
+                "nul": "x\u0000y"}
+
+
+@pytest.mark.parametrize("doc, named", [
+    (_with(STEADY_DOC, lambda d: d.pop("name")), "spec is missing required key 'name'"),
+    (_with(SIM_SPEC, lambda d: d["params"]["sim"].pop("seed")), "sim is missing required key 'seed'"),
+    (_with(SIMULATE_DOC, lambda d: d["params"]["sim"].pop("seed")), "sim is missing required key 'seed'"),
+    *((_with(STEADY_DOC, lambda d, name=name: d.update(name=name)), "name must be a plain file name")
+      for name in UNSAFE_NAMES.values()),
+], ids=["no-name", "curve-sim-without-seed", "simulate-sim-without-seed", *(f"name-{i}" for i in UNSAFE_NAMES)])
+def test_refused_spec_writes_nothing(tmp_path, capsys, doc, named):
+    # the spec alone names the files and seeds the simulator, so it is
+    # refused before any directory or file is made, also outside --out
+    spec = write_spec(tmp_path, doc)
+    assert main(["--spec", str(spec), "--out", str(tmp_path / "run" / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"bad-config: {named}")
+    assert list(tmp_path.iterdir()) == [spec]
+
+
+def test_sidecar_restates_the_recipe(tmp_path, monkeypatch):
+    # the sidecar holds the spec and no value of the run, so a stand-in
+    # simulator, measuring 1.0 everywhere, keeps the test fast
+    monkeypatch.setattr("ehaoi.sim.run", lambda *args: SimpleNamespace(**dict.fromkeys(_MEASURED, 1.0)))
+    for path in sorted(RECIPES.glob("*.json")):
+        doc = json.loads(path.read_text())
+        assert main(["--spec", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+        sidecar = json.loads((tmp_path / f"{doc['name']}.config.json").read_text())
+        assert set(sidecar) == {"name", "kind", "library_version", "params", "sweep", "outputs"}, path
+        assert [sidecar[key] for key in ("name", "kind", "params")] == [doc["name"], doc["kind"], doc["params"]]
+        assert sidecar["outputs"] == [f"{doc['name']}.csv"]
 
 
 def test_analytic_specs_load_no_numpy(tmp_path):
@@ -524,7 +531,7 @@ TRUNC_DOC = {
     "name": "trunc",
     "kind": "aoi_curve",
     "params": {"phy": CURVE_PHY, "net": {"density": 0.01, "N": 2, "B": 30, "xi": 0.5, "eta": 0.3},
-               "sim": {"slots": 400, "realizations": 1, "side": 40.0}},
+               "sim": {"slots": 400, "realizations": 1, "side": 40.0, "seed": 0}},
     "sweep": {"name": "N", "values": [2.0, 3.0]},
 }
 
@@ -615,7 +622,7 @@ def test_simulate_without_deliveries_is_bad_config(tmp_path, capsys):
         "name": "starved",
         "kind": "simulate",
         "params": {"phy": CURVE_PHY, "net": {"density": 0.01, "N": 3, "B": 30, "xi": 0.1, "eta": 0.3},
-                   "sim": {"slots": 4, "realizations": 1, "side": 20.0}},
+                   "sim": {"slots": 4, "realizations": 1, "side": 20.0, "seed": 0}},
     }
     out = tmp_path / "out"
     assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
@@ -711,7 +718,7 @@ ANALYTIC_DOCS = [doc for doc in (json.loads(p.read_text()) for p in sorted(RECIP
 # a wrongly typed value for any field; none is a large size, which would allocate
 MUTANTS = {"string": "x", "bool": True, "null": None, "list": [], "object": {}, "string list": ["x"]}
 TEXT_KEYS = {"name", "kind", "formula"}  # a string is the right type for these
-REQUIRED = {("kind",), ("params", "phy"), ("params", "net"), ("params", "bits_per_unit"),
+REQUIRED = {("name",), ("kind",), ("params", "phy"), ("params", "net"), ("params", "bits_per_unit"),
             ("params", "target_rate"), ("sweep", "name"), ("sweep", "values"),
             *(("params", "phy", key) for key in ("alpha", "r", "snr_db", "eps")),
             *(("params", "net", key) for key in ("density", "N", "B", "xi", "eta"))}
@@ -835,9 +842,15 @@ def _sweep(draw):
     return {"name": name, "values": draw(st.lists(_SWEEPS[name], min_size=1, max_size=5))}
 
 
+# a plain file stem; one time in ten a name that must be refused instead
+_STEM = st.from_regex(r"[A-Za-z0-9_][A-Za-z0-9_.-]{0,15}", fullmatch=True)
+
+
 @st.composite
 def _drawn_spec(draw):
     """A well-typed spec of any kind, its values in range or not; sizes stay small."""
+    unsafe = draw(st.integers(0, 9)) == 0
+    name = draw(st.sampled_from(sorted(UNSAFE_NAMES.values())) if unsafe else _STEM)
     kind = draw(st.sampled_from(["steady_state", "threshold", "aoi_curve", "optimize", "simulate"]))
     if kind == "steady_state":
         params = {"net": draw(_net())}
@@ -853,7 +866,7 @@ def _drawn_spec(draw):
             params["formula"] = draw(st.sampled_from(["general", "large_buffer"]))
         if kind == "simulate" or (kind == "aoi_curve" and draw(st.booleans())):
             params["sim"] = draw(_sim_doc(patterns=kind == "simulate"))
-    doc = {"name": "drawn", "kind": kind, "params": params}
+    doc = {"name": name, "kind": kind, "params": params}
     if kind == "aoi_curve" or (kind == "optimize" and draw(st.booleans())):
         doc["sweep"] = draw(_sweep())
     return doc
@@ -870,8 +883,11 @@ def test_drawn_spec_exits_cleanly_with_finite_cells(doc):
         spec = write_spec(Path(tmp), doc)
         with contextlib.redirect_stderr(err):  # an exception escaping main fails the test
             status = main(["--spec", str(spec), "--out", str(Path(tmp) / "out"), "--quiet"])
-        if status == 0:
-            _, rows = read_csv(Path(tmp) / "out" / "drawn.csv")
+        if doc["name"] in UNSAFE_NAMES.values():
+            assert status == 2 and err.getvalue().startswith("bad-config: name "), err.getvalue()
+            assert list(Path(tmp).iterdir()) == [spec]
+        elif status == 0:
+            _, rows = read_csv(Path(tmp) / "out" / f"{doc['name']}.csv")
             for cell in (cell for row in rows for cell in row):
                 with contextlib.suppress(ValueError):  # an empty sim cell or a regime name
                     assert math.isfinite(float(cell)), (cell, doc)
@@ -889,11 +905,11 @@ def test_main_happy_path(tmp_path, capsys):
 
 def test_spec_validation():
     with pytest.raises(BadConfig):
-        ExperimentSpec.from_dict({"kind": "aoi_curve", "sweep": {"name": "B", "values": []}})
+        ExperimentSpec.from_dict({"name": "c", "kind": "aoi_curve", "sweep": {"name": "B", "values": []}})
     with pytest.raises(BadConfig):
-        ExperimentSpec.from_dict({"kind": "aoi_curve", "sweep": {"name": "B", "values": [math.nan]}})
+        ExperimentSpec.from_dict({"name": "c", "kind": "aoi_curve", "sweep": {"name": "B", "values": [math.nan]}})
     with pytest.raises(BadConfig):
-        ExperimentSpec.from_dict({"kind": "nope"})
+        ExperimentSpec.from_dict({"name": "c", "kind": "nope"})
 
 
 def test_shipped_recipes_parse():
@@ -901,7 +917,7 @@ def test_shipped_recipes_parse():
     recipes = sorted(recipe_dir.glob("*.json"))
     assert len(recipes) >= 6
     for path in recipes:
-        spec = ExperimentSpec.from_dict(json.loads(path.read_text()), fallback_name=path.stem)
+        spec = ExperimentSpec.from_dict(json.loads(path.read_text()))
         assert spec.kind in ("steady_state", "threshold", "aoi_curve", "optimize", "simulate")
 
 
