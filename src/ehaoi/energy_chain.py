@@ -14,8 +14,9 @@ N+2 bands, lists of floats, since a level gains at most one unit and
 loses N or N-1 per slot, so it too takes O(B N) time and memory.
 
 Everything here runs on Python floats, and every sum is ``math.fsum``,
-exactly rounded.  Only the large-buffer closed form imports numpy, for its
-companion-matrix roots and its small complex solve.
+exactly rounded.  Only the large-buffer closed form imports numpy: it sums
+the N modes of the same cut balance, with roots from a companion matrix
+and an N-square complex solve.
 """
 
 from __future__ import annotations
@@ -408,41 +409,41 @@ def _geom_ratio_factor(z: float, i: int, xi: float) -> float:
     return 1.0 + (xi / (1.0 - xi) + z) * (1.0 - z**i) / (1.0 - z)
 
 
-def _interior_roots(n: int, xi: float, eta: float):
-    """The N-1 roots of char_poly besides 1 and the positive root char_root.
+def _cut_roots(n: int, xi: float, eta: float):
+    """The N roots of the deflated quotient (see _deflated), char_root first.
 
-    They are the remaining roots of the deflated quotient (see _deflated),
-    taken from its companion matrix and polished by two Newton steps.
+    The other N-1, negative or complex, are taken from its companion matrix
+    and polished by two Newton steps.
     """
     import numpy as np
 
+    z = char_root(n, xi, eta)
     g = np.array([(1.0 - xi) * eta] + [eta] * (n - 1) + [-xi * (1.0 - eta)], dtype=complex)
-    dg = np.polyder(g)
     roots = np.roots(g)
-    roots = np.delete(roots, np.argmin(np.abs(roots - char_root(n, xi, eta))))
+    roots = np.delete(roots, np.argmin(np.abs(roots - z)))
     for _ in range(2):
-        roots = roots - np.polyval(g, roots) / np.polyval(dg, roots)
-    return roots
+        roots = roots - np.polyval(g, roots) / np.polyval(np.polyder(g), roots)
+    return np.concatenate(([z], roots))
 
 
 @in_float_range
 def steady_closed_large_buffer(cfg: EnergyChainConfig) -> SteadyState:
     """Multi-unit consumption with a large buffer, B >= 3N + 1.
 
-    On levels N..B-1 every balance equation away from the two boundaries is
-    the order-(N+1) difference equation whose characteristic polynomial is
-    char_poly, so the stationary law there is a sum over all N+1 modes: the
-    fixed point 1, the positive root z = char_root and the N-1 negative or
-    complex roots.  A mode with |r| <= 1 is written r^(i-N) and one with
-    |r| > 1 as r^(i-(B-1)), so every mode peaks at 1 inside the band and
-    nothing overflows however large B is.  On the balance line N eta == xi,
-    where z = 1 is a double root, the pair {1, z^(i-N)} becomes the
-    confluent pair {1, i-N}.
-
-    The N+1 mode coefficients, s_0..s_{N-1} and s_B follow from the balance
-    equations at levels 0..N and B-N..B, the last of them replaced by
-    normalization: a (2N+2)-square complex solve whose solution is real up
-    to rounding.  The result is exact for every finite B in the regime.
+    Across every cut c >= N with c + N <= B the flow up equals the flow
+    down, (1-eta) xi s_c = eta (1-xi) S(c+1, c+N) + eta xi S(c+1, c+N-1)
+    with S(a, b) = s_a + ... + s_b: an order-N recursion whose
+    characteristic polynomial is the deflated quotient, so on levels N..B
+    the law is a sum of N modes, one per root (char_root and N-1 negative
+    or complex roots).  A mode with |r| <= 1 is r^(i-N) and one with
+    |r| > 1 is (1/r)^(B-i), so no mode exceeds 1 however large B is.  Each
+    level c < N follows from its own cut, xi s_c = eta (1-xi) S(N, c+N)
+    + eta xi S(N, c+N-1).  The N mode coefficients come from the cuts
+    c = B-N+1..B-1, where every drop crosses, (1-eta) xi s_c = eta
+    S(c+1, B), and normalization: an N-square complex solve whose solution
+    is real up to rounding.  The result is exact for every finite B in the
+    regime; a float fault in the roots, the modes or the solve raises
+    OutOfRegime.
     """
     import numpy as np
 
@@ -454,57 +455,24 @@ def steady_closed_large_buffer(cfg: EnergyChainConfig) -> SteadyState:
     if not (cfg.xi < 1.0 and cfg.eta < 1.0):
         raise OutOfRegime("large-buffer closed form requires xi < 1 and eta < 1")
     xi, eta = cfg.xi, cfg.eta
-    z = char_root(n, xi, eta)
-    m = np.arange(b - n)
-    top = m - (b - n - 1)
-    # char_root returns exactly 1.0 on the balance line, a double root of char_poly
-    # a mode with |r| > 1 falls below the float range deep under level B - 1:
-    # its power underflows to the right 0 through an overflowing r^|top|
-    with np.errstate(over="ignore"):
-        pair = m.astype(float) if z == 1.0 else z ** (m if z < 1.0 else top)
-        cols = [np.ones(b - n), pair]
-        cols += [r ** (m if abs(r) <= 1.0 else top) for r in _interior_roots(n, xi, eta)]
-    modes = np.column_stack(cols).astype(complex)
-
-    # unknowns: N+1 mode coefficients, then s_0..s_{N-1}, then s_B
-    k = n + 1
-
-    def level(i: int):
-        row = np.zeros(2 * n + 2, dtype=complex)
-        if i < n:
-            row[k + i] = 1.0
-        elif i == b:
-            row[-1] = 1.0
-        else:
-            row[:k] = modes[i - n]
-        return row
-
-    def balance(j: int):
-        # s_j minus the inflow into level j from j (stay), j-1 (one arrival),
-        # j+N (attempt, no arrival) and j+N-1 (attempt and arrival)
-        stay = 1.0 - xi if j < n else (1.0 - eta) * (1.0 - xi) if j < b else 1.0 - eta
-        row = (1.0 - stay) * level(j)
-        if j >= 1:
-            row -= (xi if j - 1 < n else (1.0 - eta) * xi) * level(j - 1)
-            if j + n - 1 <= b:
-                row -= eta * xi * level(j + n - 1)
-        if j + n <= b:
-            row -= eta * (1.0 - xi) * level(j + n)
-        return row
-
-    A = np.array([balance(j) for j in (*range(n + 1), *range(b - n, b))] + [np.zeros(2 * n + 2)])
-    A[-1, :k] = modes.sum(axis=0)
-    A[-1, k:] = 1.0
-    rhs = np.zeros(2 * n + 2)
-    rhs[-1] = 1.0
-    try:
-        x = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:  # a rate so small that the rows coincide in floats
-        raise FloatingPointError(f"the mode system is singular: {exc}") from exc
-    s = np.empty(b + 1)
-    s[:n] = x[k:-1].real
-    s[n:b] = (modes @ x[:k]).real
-    s[b] = x[-1].real
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        roots = _cut_roots(n, xi, eta)
+        i = np.arange(n, b + 1)
+        # modes[i - N, k]: mode k at level i, at most 1 in modulus
+        modes = np.column_stack([r ** (i - n) if abs(r) <= 1.0 else (1.0 / r) ** (b - i) for r in roots])
+        head = np.cumsum(modes, axis=0)  # head[j] = S(N, N+j)
+        # each cut's balance is divided by xi, so the rows keep their digits at a subnormal xi
+        ratio = np.float64(eta) / xi
+        low = ratio * ((1.0 - xi) * head[:n] + xi * np.vstack([np.zeros(n), head[:n - 1]]))
+        tail = np.cumsum(modes[::-1], axis=0)[::-1]  # tail[j] = S(N+j, B)
+        cut = np.arange(b - 2 * n + 1, b - n)  # c - N for the cuts c = B-N+1..B-1
+        A = np.vstack([(1.0 - eta) * modes[cut] - ratio * tail[cut + 1],
+                       low.sum(axis=0) + tail[0]])
+        try:
+            coef = np.linalg.solve(A, np.eye(n)[-1])  # the last row is normalization
+        except np.linalg.LinAlgError as exc:  # a rate so small that the rows coincide in floats
+            raise FloatingPointError(f"the mode system is singular: {exc}") from exc
+        s = np.concatenate([low @ coef, modes @ coef]).real
     # levels whose mass is below rounding can come out as -1e-16
     return _finalize(np.maximum(s, 0.0).tolist())
 

@@ -146,10 +146,9 @@ def effective_threshold_exact(cfg: CodingConfig) -> float:
         raise OutOfRegime(
             f"target rate {rt} is reached below gamma = {lo}; threshold bracket invalid"
         )
-    # 2 x approx, and an OverflowError where that passes the float range
+    # 2 x approx, and an OverflowError where that passes the float range; the
+    # rate there meets rt, since its dispersion factor is at most 1
     hi = math.ldexp(effective_threshold_approx(cfg), 1)
-    while max_coding_rate(hi, c, eps) < rt:
-        hi *= 2.0
     theta = bisect_increasing(lambda g: max_coding_rate(g, c, eps) - rt, lo, hi)
     residual = max_coding_rate(theta, c, eps) - rt
     if abs(residual) > _RESIDUAL_TOL:

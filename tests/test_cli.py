@@ -670,13 +670,16 @@ def test_link_longer_than_half_the_torus_is_bad_config(tmp_path, capsys):
     (_with(CURVE_DOC, lambda d: d["params"]["phy"].pop("theta")),
      "phy.target_rate and phy.bits_per_unit are required"),
     (_with(CURVE_DOC, lambda d: d["params"]["phy"].update(snr_db=-4000.0)), "tx_snr"),
+    (_with(CURVE_DOC, lambda d: d.pop("sweep")), "kind aoi_curve requires a sweep section"),
+    (_with(CURVE_DOC, lambda d: d.update(sweep={"name": "alpha", "values": [3, 4]})),
+     "unknown sweep parameter 'alpha'"),
 ], ids=["optimize-blocklength-floor", "optimize-without-code", "curve-sparse-density",
         "simulate-sparse-density", "curve-without-updates", "simulate-without-updates",
-        "curve-without-theta-or-code", "curve-snr-underflow"])
+        "curve-without-theta-or-code", "curve-snr-underflow", "curve-without-sweep", "sweep-over-alpha"])
 def test_spec_value_refused_by_the_library_is_bad_config(tmp_path, capsys, doc, named):
     # the optimizer's scan starts at N = 1, the torus must hold a link on
-    # average, a simulated point must see an attempt and a delivery, and
-    # 10^-400 underflows to a zero transmit SNR
+    # average, a simulated point must see an attempt and a delivery,
+    # 10^-400 underflows to a zero transmit SNR, and a curve sweeps a net field
     out = tmp_path / "out"
     assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 2
     err = capsys.readouterr().err
@@ -695,6 +698,17 @@ def test_target_rate_past_the_float_range_is_out_of_regime(tmp_path, capsys, doc
     err = capsys.readouterr().err
     assert err.startswith("out-of-regime: effective_threshold_exact(CodingConfig(k=100, N=1, ")
     assert "leaves the float range" in err
+    assert not list(out.glob("*.csv"))
+
+
+def test_update_rate_underflow_is_out_of_regime(tmp_path, capsys):
+    # on a noise-saturated link both candidates saturate at N = 1, and at
+    # N = 2 the update rate xi / N rounds to 0
+    doc = _with(OPTIMIZE_DOC, lambda d: (d["params"]["phy"].update(snr_db=-3000.0),
+                                         d["params"]["net"].update(xi=5e-324, B=5)))
+    out = tmp_path / "out"
+    assert main(["--spec", str(write_spec(tmp_path, doc)), "--out", str(out), "--quiet"]) == 3
+    assert capsys.readouterr().err == "out-of-regime: the update rate xi / N = 5e-324 / 2 underflows a float\n"
     assert not list(out.glob("*.csv"))
 
 

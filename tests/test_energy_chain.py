@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import straddles_sign_change
 from ehaoi import energy_chain
@@ -320,7 +322,7 @@ def test_large_buffer_mass_rises_when_energy_abundant():
 
 
 def test_large_buffer_tightens_with_buffer_size():
-    # the all-mode form is exact at every finite B, small or large (here z < 1)
+    # the cut-mode form is exact at every finite B, small or large (here z < 1)
     cfg_small = EnergyChainConfig(N=2, B=8, xi=0.5, eta=0.5)
     cfg_large = EnergyChainConfig(N=2, B=40, xi=0.5, eta=0.5)
     dev_small = np.max(np.abs(steady_closed_large_buffer(cfg_small).probs - oracle(cfg_small)))
@@ -331,7 +333,7 @@ def test_large_buffer_tightens_with_buffer_size():
 
 def test_large_buffer_boundary_layer_is_real():
     # the boundary layer next to the full buffer, where a single-mode form
-    # is off by ~2e-3, is carried by the other N modes and is reproduced
+    # is off by ~2e-3, is carried by the other N-1 modes and is reproduced
     cfg = EnergyChainConfig(N=2, B=7, xi=0.5, eta=0.2)
     dev = np.max(np.abs(steady_closed_large_buffer(cfg).probs - oracle(cfg)))
     assert dev <= 1e-10
@@ -345,15 +347,55 @@ def test_large_buffer_boundary_layer_is_real():
         (5, 16, 0.5, 0.2),
         (8, 25, 0.95, 0.05),
         (8, 400, 0.2, 0.99),
-        (3, 2000, 0.9, 0.2),  # z^(B-2N) ~ 1e287: needs the scaled modes
-        (2, 20, 0.5, 0.25),  # balance line N eta == xi: z = 1 is a double root
-        (3, 300, 0.6, 0.2 + 1e-9),  # z within 1e-9 of the double root
+        (3, 2000, 0.9, 0.2),  # z^(B-2N) ~ 1e287: the mode is (1/z)^(B-i)
+        (2, 20, 0.5, 0.25),  # balance line N eta == xi: z = 1, a simple root of the quotient
+        (3, 300, 0.6, 0.2 + 1e-9),  # z within 1e-9 of 1
     ],
 )
 def test_large_buffer_matches_oracle(n, b, xi, eta):
     cfg = EnergyChainConfig(N=n, B=b, xi=xi, eta=eta)
     ss = steady_closed_large_buffer(cfg)
     assert np.max(np.abs(ss.probs - oracle(cfg))) <= 1e-10
+
+
+# a rate within 300 decades of 0, or within 16 of 1
+EXTREME_RATE = st.one_of(
+    st.floats(-300.0, 0.0, exclude_max=True).map(lambda u: 10.0**u).filter(lambda r: r < 1.0),
+    st.floats(1.0, 16.0).map(lambda u: 1.0 - 10.0**-u),
+)
+
+
+@given(data=st.data())
+def test_large_buffer_refuses_only_where_char_root_does(data):
+    n = data.draw(st.integers(2, 8), label="N")
+    cfg = EnergyChainConfig(n, data.draw(st.integers(3 * n + 1, 20 * n), label="B"),
+                            data.draw(EXTREME_RATE, label="xi"), data.draw(EXTREME_RATE, label="eta"))
+    try:
+        char_root(n, cfg.xi, cfg.eta)
+    except OutOfRegime:
+        with pytest.raises(OutOfRegime):
+            steady_closed_large_buffer(cfg)
+        return
+    law = steady_closed_large_buffer(cfg).probs
+    try:
+        exact = steady_state(cfg).probs
+    except OutOfRegime:  # the cut recursion outgrows its rescaling
+        return
+    assert np.max(np.abs(np.subtract(law, exact))) <= 1e-10
+
+
+def test_large_buffer_matches_steady_state_at_tiny_rates():
+    cfg = EnergyChainConfig(N=2, B=8, xi=1e-100, eta=1e-250)
+    dev = np.max(np.abs(np.subtract(steady_closed_large_buffer(cfg).probs, steady_state(cfg).probs)))
+    assert dev <= 1e-10
+
+
+def test_large_buffer_levels_below_n_wait_for_arrivals():
+    # each level below N waits about 1 / xi slots for an arrival, so they
+    # hold all but ~1e-300 of the mass; steady_state refuses here
+    probs = steady_closed_large_buffer(EnergyChainConfig(N=2, B=8, xi=1e-300, eta=0.5)).probs
+    assert probs[0] == pytest.approx(0.5, abs=1e-12)
+    assert probs[1] == pytest.approx(0.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +580,12 @@ def test_steady_state_out_of_float_range_is_out_of_regime(xi):
 @pytest.mark.parametrize("law, n, b, xi, eta", [
     (steady_closed_n1, 1, 6, 0.5, 1e-300),
     (steady_closed_small_buffer, 2, 4, 1e-300, 0.5),
-    (steady_closed_large_buffer, 2, 8, 1e-300, 0.5),
+    (steady_closed_large_buffer, 2, 7, 0.99999999, 1e-300),
     (steady_closed_large_buffer, 2, 8, 0.5, 1e-300),
-], ids=["n1-power-overflows", "small-buffer-power-overflows", "large-buffer-singular",
+], ids=["n1-power-overflows", "small-buffer-power-overflows", "large-buffer-root-at-inf",
         "large-buffer-root-bracket-overflows"])
 def test_closed_form_out_of_float_range_is_out_of_regime(law, n, b, xi, eta):
-    # a power overflows, or the mode system or the root bracket leaves the float range
+    # a power overflows, or char_root's bracket starts at inf or overflows
     with pytest.raises(OutOfRegime, match="leaves the float range"):
         law(EnergyChainConfig(N=n, B=b, xi=xi, eta=eta))
 
@@ -558,8 +600,8 @@ def test_char_root_out_of_float_range_is_out_of_regime(n, xi):
 
 
 def test_large_buffer_law_with_an_outer_mode_warns_nothing():
-    # the interior root r ~ -10001 raised to -(B - 1 - i) overflows on its way
-    # to the right 0; the suite turns a RuntimeWarning into an error
+    # the root r ~ -10001 enters as (1/r)^(B - i), which underflows to the
+    # right 0 far below level B; the suite turns a RuntimeWarning into an error
     cfg = EnergyChainConfig(N=2, B=2000, xi=0.5, eta=1e-8)
     dev = np.max(np.abs(np.subtract(steady_closed_large_buffer(cfg).probs, steady_state(cfg).probs)))
     assert dev <= 1e-10

@@ -87,7 +87,10 @@ def test_threshold_upper_bound_grid():
     for n in (1, 2, 5, 10):
         for eps in (1e-2, 1e-4, 1e-6):
             cfg = _cfg(n=n, eps=eps)
-            assert effective_threshold_approx(cfg) >= effective_threshold_exact(cfg)
+            approx = effective_threshold_approx(cfg)
+            assert approx >= effective_threshold_exact(cfg)
+            # the bisection's upper end: past approx the rate grows, and its dispersion factor is <= 1
+            assert max_coding_rate(2 * approx, cfg.blocklength, cfg.eps) >= cfg.target_rate
 
 
 def test_threshold_decreases_with_blocklength():
